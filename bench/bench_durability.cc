@@ -1,19 +1,21 @@
-// Durable-store overhead: journal append cost per fsync policy, and
-// recovery (Open) cost as a function of journal length.
+// Durable serving overhead: write cost per fsync policy, and recovery
+// (Open) cost as a function of journal length.
 //
-// Section 1 replays the same batched §V-C workload through a
-// DurableDocument once per fsync policy (kNone / kEveryBatch /
-// kEveryN=8) with automatic checkpoints disabled, so the runs differ
-// only in when the journal fsyncs. Journal bytes, op and batch counts
-// are deterministic context; append timings are advisory (CI runners
-// are 1-core and noisy, and fsync cost is filesystem-dependent).
+// Section 1 replays the same batched §V-C workload through a durable
+// DocumentService once per fsync policy (kNone / kEveryBatch /
+// kEveryN=8) with merges disabled (growth_trigger 0, no Flush), so the
+// runs differ only in when the journal fsyncs. Journal bytes, op and
+// batch counts are deterministic context; write timings (clone, apply,
+// journal, publish, and the final close) are advisory (CI runners are
+// 1-core and noisy, and fsync cost is filesystem-dependent).
 //
-// Section 2 builds a store whose journal holds L committed batches
-// (L in --recover-lengths, default 25,50,100,200), closes it, and
-// times DurableDocument::Open — snapshot decode + CRC check + full
-// replay through the batch engine. Replayed batch counts and the
-// recovered grammar's edge count are deterministic and CI-gated via
-// tools/bench_compare.py; recovery timings are advisory.
+// Section 2 builds a document whose journal holds L committed batches
+// (L in 25,50,100 and every batch the workload holds, at most 200),
+// closes it, and times DocumentService::Open —
+// snapshot decode + CRC check + replay of every batch through the
+// service's apply path + one snapshot build. Replayed batch counts and
+// the recovered grammar's edge count are deterministic and CI-gated
+// via tools/bench_compare.py; recovery timings are advisory.
 //
 // Writes BENCH_durability.json (override with --out=...); the
 // committed copy at the repo root records the numbers quoted in
@@ -34,7 +36,7 @@
 #include "src/grammar/stats.h"
 #include "src/obs/metrics.h"
 #include "src/obs/session.h"
-#include "src/store/durable_document.h"
+#include "src/service/document_service.h"
 #include "src/store/io.h"
 #include "src/workload/update_workload.h"
 #include "src/xml/binary_encoding.h"
@@ -79,12 +81,30 @@ Prepared PrepareWorkload(double scale, int num_batches, int batch_size,
   return p;
 }
 
-DurableDocumentOptions StoreOptions(FsyncPolicy policy, int every_n) {
-  DurableDocumentOptions opts;
-  opts.update.growth_trigger = 0;  // no rotations: isolate append/replay cost
+ServiceOptions StoreOptions(const std::string& dir, FsyncPolicy policy,
+                            int every_n) {
+  ServiceOptions opts;
+  opts.update.growth_trigger = 0;  // no merges: isolate append/replay cost
+  opts.durable_dir = dir;
   opts.journal.policy = policy;
   opts.journal.every_n = every_n;
   return opts;
+}
+
+// Applies batches[0, count) through one writer; false on the first
+// failure (reported on stderr).
+bool ApplyAll(DocumentService* svc,
+              const std::vector<std::vector<UpdateOp>>& batches,
+              size_t count) {
+  DocumentService::Writer writer = svc->OpenWriter();
+  for (size_t i = 0; i < count; ++i) {
+    Status s = writer.Apply(batches[i]);
+    if (!s.ok()) {
+      std::fprintf(stderr, "Apply failed: %s\n", s.ToString().c_str());
+      return false;
+    }
+  }
+  return true;
 }
 
 int Run(int argc, char** argv) {
@@ -114,7 +134,7 @@ int Run(int argc, char** argv) {
   std::printf("Journal append (scale %.3g, %d batches x %d ops)\n\n", scale,
               num_batches, batch_size);
   TablePrinter append_table(
-      {"policy", "batches", "ops", "journal KiB", "append(ms)", "ms/batch"});
+      {"policy", "batches", "ops", "journal KiB", "write(ms)", "ms/batch"});
   Prepared p = PrepareWorkload(scale, num_batches, batch_size, seed);
 
   struct PolicyRow {
@@ -131,27 +151,20 @@ int Run(int argc, char** argv) {
     std::string dir = base_dir + "-append-" + row.name;
     RemoveStoreDir(dir);
     int64_t bytes_before = journal_bytes_counter.Value();
-    StatusOr<DurableDocument> doc = DurableDocument::Create(
-        dir, p.start.Clone(), StoreOptions(row.policy, row.every_n));
-    if (!doc.ok()) {
-      std::fprintf(stderr, "Create failed: %s\n",
-                   doc.status().ToString().c_str());
+    auto svc = DocumentService::FromGrammar(
+        p.start.Clone(), StoreOptions(dir, row.policy, row.every_n));
+    if (!svc.ok()) {
+      std::fprintf(stderr, "FromGrammar failed: %s\n",
+                   svc.status().ToString().c_str());
       return 1;
     }
     Timer timer;
     int64_t ops = 0;
     for (const std::vector<UpdateOp>& batch : p.batches) {
-      Status s = doc.value().ApplyBatch(batch);
-      if (!s.ok()) {
-        std::fprintf(stderr, "ApplyBatch failed: %s\n", s.ToString().c_str());
-        return 1;
-      }
       ops += static_cast<int64_t>(batch.size());
     }
-    if (!doc.value().Sync().ok() || !doc.value().Close().ok()) {
-      std::fprintf(stderr, "Sync/Close failed\n");
-      return 1;
-    }
+    if (!ApplyAll(svc.value().get(), p.batches, p.batches.size())) return 1;
+    svc.value().reset();  // closing syncs what the policy left unsynced
     double ms = timer.ElapsedMillis();
     int64_t journal_bytes = journal_bytes_counter.Value() - bytes_before;
     SLG_CHECK(journal_bytes ==
@@ -174,36 +187,32 @@ int Run(int argc, char** argv) {
   std::printf("\nRecovery (Open) vs journal length\n\n");
   TablePrinter recover_table({"journal batches", "journal KiB", "edges",
                               "open(ms)", "ms/batch"});
-  int max_len = lengths.back();
-  Prepared big = PrepareWorkload(scale, max_len, batch_size, seed + 1);
+  Prepared big = PrepareWorkload(scale, lengths.back(), batch_size, seed + 1);
+  // The generator stops once its backward walk has emptied the
+  // document, so the longest journal holds every batch it made.
+  lengths.back() =
+      std::min(lengths.back(), static_cast<int>(big.batches.size()));
   for (int len : lengths) {
     std::string dir = base_dir + "-recover-" + std::to_string(len);
     RemoveStoreDir(dir);
-    DurableDocumentOptions opts =
-        StoreOptions(FsyncPolicy::kEveryBatch, 8);
+    ServiceOptions opts = StoreOptions(dir, FsyncPolicy::kEveryBatch, 8);
     int64_t bytes_before = journal_bytes_counter.Value();
-    StatusOr<DurableDocument> doc =
-        DurableDocument::Create(dir, big.start.Clone(), opts);
-    if (!doc.ok()) {
-      std::fprintf(stderr, "Create failed: %s\n",
-                   doc.status().ToString().c_str());
-      return 1;
-    }
-    for (int i = 0; i < len; ++i) {
-      Status s = doc.value().ApplyBatch(big.batches[i]);
-      if (!s.ok()) {
-        std::fprintf(stderr, "ApplyBatch failed: %s\n", s.ToString().c_str());
+    {
+      auto svc = DocumentService::FromGrammar(big.start.Clone(), opts);
+      if (!svc.ok()) {
+        std::fprintf(stderr, "FromGrammar failed: %s\n",
+                     svc.status().ToString().c_str());
         return 1;
       }
-    }
-    if (!doc.value().Close().ok()) {
-      std::fprintf(stderr, "Close failed\n");
-      return 1;
+      if (!ApplyAll(svc.value().get(), big.batches,
+                    static_cast<size_t>(len))) {
+        return 1;
+      }
     }
     int64_t journal_bytes = journal_bytes_counter.Value() - bytes_before;
     int64_t replayed_before = replayed_counter.Value();
     Timer timer;
-    StatusOr<DurableDocument> back = DurableDocument::Open(dir, opts);
+    auto back = DocumentService::Open(opts);
     double ms = timer.ElapsedMillis();
     if (!back.ok()) {
       std::fprintf(stderr, "Open failed: %s\n",
@@ -211,7 +220,7 @@ int Run(int argc, char** argv) {
       return 1;
     }
     int64_t replayed = replayed_counter.Value() - replayed_before;
-    int64_t edges = ComputeStats(back.value().grammar()).edge_count;
+    int64_t edges = back.value()->OpenReader().CompressedSize();
     recover_table.AddRow({TablePrinter::Num(replayed),
                           TablePrinter::Num(journal_bytes / 1024),
                           TablePrinter::Num(edges),
@@ -223,7 +232,7 @@ int Run(int argc, char** argv) {
               {"replayed_batches", static_cast<double>(replayed)},
               {"recovered_edges", static_cast<double>(edges)},
               {"recover_ms", ms}});
-    (void)back.value().Close();
+    back.value().reset();
     RemoveStoreDir(dir);
   }
   recover_table.Print();

@@ -41,7 +41,7 @@
 // on one small corpus (at --sscale, default 0.1) so a single
 // instrumented run covers every subsystem: ShardedCompress (pinned
 // shard and thread counts — the output and the metrics row stay
-// hardware-independent), then a DurableDocument journal-append loop
+// hardware-independent), then a durable DocumentService write loop
 // and a recovery Open. Journal bytes and replayed batch counts are
 // read back from the metrics registry — the registry is the one
 // source of truth, and the journal-bytes counter is asserted against
@@ -67,7 +67,7 @@
 #include "src/obs/session.h"
 #include "src/pipeline/sharded_compressor.h"
 #include "src/repair/tree_repair.h"
-#include "src/store/durable_document.h"
+#include "src/service/document_service.h"
 #include "src/store/io.h"
 #include "src/update/batch.h"
 #include "src/update/udc.h"
@@ -522,25 +522,27 @@ int Run(int argc, char** argv) {
 
     std::string dir = "bench_updates_store";
     RemoveStoreDir(dir);
-    DurableDocumentOptions dopts;
-    dopts.update.growth_trigger = 0;  // no rotations: keep one journal file
-    dopts.journal.policy = FsyncPolicy::kEveryN;
-    dopts.journal.every_n = 8;
+    ServiceOptions sopts_durable;
+    sopts_durable.update.growth_trigger = 0;  // no merges: one journal file
+    sopts_durable.durable_dir = dir;
+    sopts_durable.journal.policy = FsyncPolicy::kEveryN;
+    sopts_durable.journal.every_n = 8;
     int64_t bytes_before = journal_bytes_counter.Value();
-    StatusOr<DurableDocument> doc =
-        DurableDocument::Create(dir, store_seed.Clone(), dopts);
-    SLG_CHECK(doc.ok());
     constexpr int kBatch = 4;
     int64_t batches = 0;
-    for (size_t i = 0; i < w.ops.size(); i += kBatch) {
-      size_t end = std::min(w.ops.size(), i + kBatch);
-      std::vector<UpdateOp> batch(w.ops.begin() + static_cast<int64_t>(i),
-                                  w.ops.begin() + static_cast<int64_t>(end));
-      SLG_CHECK(doc.value().ApplyBatch(batch).ok());
-      ++batches;
-    }
-    SLG_CHECK(doc.value().Sync().ok());
-    SLG_CHECK(doc.value().Close().ok());
+    {
+      auto svc =
+          DocumentService::FromGrammar(store_seed.Clone(), sopts_durable);
+      SLG_CHECK(svc.ok());
+      DocumentService::Writer writer = svc.value()->OpenWriter();
+      for (size_t i = 0; i < w.ops.size(); i += kBatch) {
+        size_t end = std::min(w.ops.size(), i + kBatch);
+        std::vector<UpdateOp> batch(w.ops.begin() + static_cast<int64_t>(i),
+                                    w.ops.begin() + static_cast<int64_t>(end));
+        SLG_CHECK(writer.Apply(batch).ok());
+        ++batches;
+      }
+    }  // closing syncs the batches the policy left unsynced
     int64_t journal_bytes = journal_bytes_counter.Value() - bytes_before;
     // The registry's byte count is the journal's size — the counter
     // includes the file header, so the two agree exactly.
@@ -548,11 +550,11 @@ int Run(int argc, char** argv) {
               FileSize(JoinPath(dir, JournalFileName(1))).value());
 
     int64_t replayed_before = replayed_counter.Value();
-    StatusOr<DurableDocument> back = DurableDocument::Open(dir, dopts);
+    auto back = DocumentService::Open(sopts_durable);
     SLG_CHECK(back.ok());
     int64_t replayed = replayed_counter.Value() - replayed_before;
-    int64_t recovered_edges = ComputeStats(back.value().grammar()).edge_count;
-    (void)back.value().Close();
+    int64_t recovered_edges = back.value()->OpenReader().CompressedSize();
+    back.value().reset();
     RemoveStoreDir(dir);
 
     stable.AddRow({info.name, TablePrinter::Num(xml.EdgeCount()),

@@ -2,8 +2,7 @@
 //
 // The old CompressedXmlTreeOptions aggregated initial-compression
 // knobs (thread/shard counts) and update-path knobs (localized
-// recompression, auto-recompress cadence) in one ad-hoc bag; the
-// durable store then grew its own copy of the update half. The split
+// recompression, auto-recompress cadence) in one ad-hoc bag. The split
 // below is the single source of truth:
 //
 //   CompressOptions — how a document is compressed *once*, on ingest
@@ -15,9 +14,8 @@
 //     compression as updates accumulate: which repair to run
 //     (localized vs full), when to run it (growth trigger + op floor),
 //     and the repair configuration itself. Consumed verbatim by
-//     CompressedXmlTree, DurableDocumentOptions and ServiceOptions, so
-//     a document moved between the three surfaces keeps identical
-//     recompression behavior.
+//     CompressedXmlTree and ServiceOptions, so a document moved
+//     between the two surfaces keeps identical recompression behavior.
 //
 // Both constructors enable RepairOptions::require_positive_savings:
 // documents on these paths get recompressed repeatedly, so the
@@ -69,9 +67,9 @@ struct UpdateOptions {
   // fragments, BatchUpdater::EdgesAdded) exceed this fraction of the
   // grammar's edge count at that repair. <= 0 disables the automatic
   // trigger (recompression happens only when explicitly requested —
-  // Recompress(), Checkpoint() or Flush(), depending on the surface).
-  // Each surface picks its own default: the in-memory facade leaves it
-  // off, the durable store and the service construct with 0.5.
+  // Recompress() or Flush(), depending on the surface). Each surface
+  // picks its own default: the in-memory facade leaves it off, the
+  // service constructs with 0.5.
   double growth_trigger = 0.0;
   // Floor between adaptive recompressions: even when the growth
   // trigger is exceeded, at least this many operations must have been

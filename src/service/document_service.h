@@ -1,5 +1,5 @@
 // DocumentService — the concurrent read/write entry point, and the
-// unification of the library's three public surfaces.
+// unification of the library's public surfaces.
 //
 // One service holds one compressed XML document and serves:
 //
@@ -9,34 +9,37 @@
 //     never takes the writer lock, so readers proceed at full speed
 //     during writes and merges alike;
 //   * writers — OpenWriter() hands out a handle whose batch
-//     application runs under one writer mutex: clone the effective
-//     grammar, apply the batch (BatchUpdater), journal it
-//     (DurableDocument, when configured — journal-then-ack; the store
-//     receives the name-based EncodeBatch payload, since its LabelIds
-//     diverge from the service lineage's once either side mints fresh
-//     labels), then publish the result as the new overlay with one
-//     atomic shared_ptr swap. A failed batch publishes nothing:
-//     batches are atomic, the document is unchanged;
+//     application runs under one writer mutex: encode the batch
+//     (EncodeBatch, label names), clone the effective grammar, apply
+//     the decoded batch (BatchUpdater), journal the same bytes (in
+//     durable mode — journal-then-ack), then publish the result as
+//     the new overlay with one atomic shared_ptr swap. A failed batch
+//     publishes nothing: batches are atomic, the document is
+//     unchanged;
 //   * a background merge thread — when the overlay's gross added
 //     edges exceed UpdateOptions::growth_trigger of the base (with
-//     the min_checkpoint_ops floor), it recompresses the overlay
-//     off-lock (LocalizedGrammarRePair seeded with exactly the
-//     overlay's damage, per MergeStrategy) and splices the result in:
+//     the min_checkpoint_ops floor), or on Flush(), it recompresses
+//     the overlay off-lock (LocalizedGrammarRePair seeded with exactly
+//     the overlay's damage, or GrammarRePair when
+//     UpdateOptions::localized is off) and splices the result in:
 //     batches acknowledged during the merge are replayed from their
-//     journal-codec encoding onto the new base. In durable mode the
-//     merge thread also drives the store's checkpoint rotation, off
-//     the writer lock. In-flight readers are never blocked and keep
-//     their pinned versions alive via shared_ptr reference counting —
-//     the RCU reclamation argument in docs/SERVICE.md.
+//     encoding onto the new base. In durable mode every merge also
+//     rotates the store, which writes the base the merge built. In-
+//     flight readers are never blocked and keep their pinned versions
+//     alive via shared_ptr reference counting — the RCU reclamation
+//     argument in docs/SERVICE.md.
 //
-// API redesign: this is the surface that unifies CompressedXmlTree
-// (single-threaded facade over the same GrammarSnapshot type, see
-// FromSnapshot / CompressedXmlTree::Snapshot()), DurableDocument (set
-// ServiceOptions::durable_dir and every acknowledged batch is
-// journaled before the ack; Open() recovers) and UdcSession
-// (MergeStrategy::kUdc runs the decompress-recompress baseline as the
-// merge step, sharing its cross-round pool) behind one StatusOr-based
-// Open/Reader/Writer interface.
+// One decode-then-BatchUpdater function applies every batch — on the
+// write path, in the merge splice and in recovery — and one merge
+// function folds them, on the merge thread and in recovery. That is
+// why a document recovered by Open() is byte-identical to the one
+// that was served, and why its next merge is too.
+//
+// Surfaces: CompressedXmlTree is a single-threaded facade over the
+// same GrammarSnapshot type (FromSnapshot / CompressedXmlTree::
+// Snapshot() move documents between the two without copying); setting
+// ServiceOptions::durable_dir makes the document crash-consistent
+// (src/store/document_store.h), and Open() recovers it.
 
 #ifndef SLG_SERVICE_DOCUMENT_SERVICE_H_
 #define SLG_SERVICE_DOCUMENT_SERVICE_H_
@@ -55,46 +58,29 @@
 #include "src/common/status.h"
 #include "src/service/overlay_view.h"
 #include "src/service/snapshot.h"
-#include "src/store/durable_document.h"
+#include "src/store/document_store.h"
 #include "src/store/fault_injection.h"
 #include "src/store/journal.h"
-#include "src/update/udc.h"
 #include "src/workload/update_workload.h"
 
 namespace slg {
 
-// How the merge thread folds the overlay into a new base.
-enum class MergeStrategy {
-  // LocalizedGrammarRePair seeded with the overlay's damage set — the
-  // paper's incremental path, cost O(damage). Default.
-  kLocalized,
-  // Full GrammarRePair over the materialized overlay.
-  kFull,
-  // The udc baseline as a service: a persistent UdcSession (DAG-shared
-  // mode) decompresses and recompresses; falls back to kLocalized if
-  // the decompression budget is exceeded.
-  kUdc,
-};
-
 struct ServiceOptions {
   ServiceOptions() {
-    // Serving documents merge adaptively by default (the durable
-    // store's default trigger); growth_trigger <= 0 merges only on
-    // Flush().
+    // Serving documents merge adaptively by default; growth_trigger
+    // <= 0 merges only on Flush().
     update.growth_trigger = 0.5;
   }
 
   // Ingest (FromXml) configuration.
   CompressOptions compress;
-  // Merge repair + adaptive merge trigger — shared verbatim with
-  // CompressedXmlTree and DurableDocumentOptions.
+  // Merge repair (localized or full) + adaptive merge trigger — shared
+  // verbatim with CompressedXmlTree.
   UpdateOptions update;
 
-  MergeStrategy merge_strategy = MergeStrategy::kLocalized;
-
   // Non-empty: every acknowledged batch is journaled to this document
-  // directory before the ack (DurableDocument's commit protocol);
-  // Open() recovers from it. Empty: in-memory only.
+  // directory before the ack, and every merge checkpoints it
+  // (DocumentStore); Open() recovers from it. Empty: in-memory only.
   std::string durable_dir;
   JournalOptions journal;
   // Borrowed; nullptr (production) injects nothing.
@@ -124,13 +110,18 @@ class DocumentService {
    private:
     friend class DocumentService;
     explicit Writer(DocumentService* service) : service_(service) {}
+    // Apply with the ops' label ids taken from `names`, or from the
+    // served table when null (then checked against it first). The
+    // conveniences encode against a scratch table, since the batch
+    // carries names and a new tag need not be in the document yet.
+    Status Apply(const std::vector<UpdateOp>& ops, const LabelTable* names);
     DocumentService* service_;
   };
 
   // --- factories ---------------------------------------------------------
 
   // Parses + compresses per options.compress. With durable_dir set,
-  // also initializes the on-disk document (DurableDocument::Create).
+  // also initializes the on-disk document (DocumentStore::Create).
   static StatusOr<std::unique_ptr<DocumentService>> FromXml(
       std::string_view xml, const ServiceOptions& options = {});
 
@@ -145,7 +136,10 @@ class DocumentService {
       const ServiceOptions& options = {});
 
   // Recovers the durable document in options.durable_dir (which must
-  // be set) and serves it.
+  // be set) and serves it: the newest valid snapshot, with the active
+  // journal's batches replayed in place and still pending, so the next
+  // merge is the one the uninterrupted service would have run. A
+  // committed batch that cannot be replayed is DataLoss.
   static StatusOr<std::unique_ptr<DocumentService>> Open(
       const ServiceOptions& options);
 
@@ -168,7 +162,9 @@ class DocumentService {
 
   // Blocks until every batch acknowledged before the call is merged
   // into the base snapshot (forcing a merge if the trigger would not
-  // fire). FailedPrecondition if the service shuts down first.
+  // fire) and, in durable mode, checkpointed: after Ok those batches
+  // are durable whatever the fsync policy. FailedPrecondition if the
+  // service shuts down first or its durable store has failed.
   Status Flush();
 
   struct Stats {
@@ -192,20 +188,32 @@ class DocumentService {
     int64_t ops = 0;
   };
 
+  // `initial` already holds the `pending` batches (a recovered
+  // document); they are its overlay until the first merge.
   DocumentService(ServiceOptions options,
                   std::shared_ptr<const GrammarSnapshot> initial,
-                  std::optional<DurableDocument> durable);
+                  std::optional<DocumentStore> store,
+                  std::vector<PendingBatch> pending = {});
 
-  // Journals (durable mode), publishes `next` as the new overlay and
+  // Decodes pb->encoded against g's label table and applies it as one
+  // BatchUpdater batch, recording its damage, edges and op count in
+  // *pb. The one apply path of writes, the merge splice and recovery,
+  // so all three intern labels in the same order.
+  static Status ApplyEncoded(Grammar* g, PendingBatch* pb);
+  // The union of the batches' damage sets, in first-seen order.
+  static std::vector<LabelId> DamageUnion(
+      const std::vector<PendingBatch>& batches);
+
+  // Journals pb (durable mode), publishes `next` as the new overlay and
   // wakes the merge thread. Called with mu_ held.
-  Status CommitLocked(Grammar next, const std::vector<UpdateOp>& ops,
-                      std::vector<LabelId> damage, int64_t edges);
+  Status CommitLocked(Grammar next, PendingBatch pb);
 
   bool MergeNeededLocked() const;
   void MergeLoop();
   // One merge cycle: captures the overlay under mu_, recompresses with
-  // mu_ released, splices under mu_ (replaying batches acknowledged
-  // meanwhile onto the new base).
+  // mu_ released, then under mu_ rotates the store (durable mode) and
+  // splices (replaying batches acknowledged meanwhile onto the new
+  // base).
   void MergeOnce(std::unique_lock<std::mutex>& lk);
 
   ServiceOptions options_;
@@ -216,13 +224,7 @@ class DocumentService {
   // via atomic_store. The pointed-to state is immutable.
   std::shared_ptr<const ServiceState> state_;
   std::vector<PendingBatch> pending_;  // acked but unmerged, in order
-  // Serializes durable_ between the write path (mu_ then durable_mu_)
-  // and the merge thread's explicit Checkpoint() (durable_mu_ alone,
-  // never while holding mu_) — the one-way order makes deadlock
-  // impossible and keeps checkpoint rotations off the writer lock.
-  std::mutex durable_mu_;
-  std::optional<DurableDocument> durable_;
-  std::optional<UdcSession> udc_;  // merge thread only (kUdc)
+  std::optional<DocumentStore> store_;  // durable mode; used under mu_
 
   int64_t acked_batches_ = 0;
   int64_t acked_ops_ = 0;

@@ -34,7 +34,10 @@ namespace slg {
 
 struct ServiceState {
   std::shared_ptr<const GrammarSnapshot> base;
-  // Null when every acknowledged batch is folded into base.
+  // Null when every acknowledged batch is folded into base. A
+  // recovered document replays its unmerged batches in place on the
+  // loaded snapshot, so until its first merge base and overlay are the
+  // same snapshot.
   std::shared_ptr<const GrammarSnapshot> overlay;
   // Batches / gross un-recompressed edges the overlay carries beyond
   // base (the merge trigger's inputs, and the overlay gauges' values).

@@ -336,26 +336,22 @@ Status JournalWriter::AppendBatch(std::string_view encoded) {
   PutVarint(&seq, static_cast<uint64_t>(next_seq_));
   SLG_RETURN_IF_ERROR(AppendRecord(kCommitRecord, seq));
   ++next_seq_;
+  ++unsynced_batches_;
   JournalMetrics::Get().batches.Increment();
-  switch (options_.policy) {
-    case FsyncPolicy::kNone:
-      break;
-    case FsyncPolicy::kEveryBatch:
-      SLG_RETURN_IF_ERROR(Sync());
-      break;
-    case FsyncPolicy::kEveryN:
-      if (++unsynced_batches_ >= options_.every_n) {
-        SLG_RETURN_IF_ERROR(Sync());
-      }
-      break;
+  if (options_.policy == FsyncPolicy::kEveryBatch ||
+      (options_.policy == FsyncPolicy::kEveryN &&
+       unsynced_batches_ >= options_.every_n)) {
+    return Sync();
   }
   return Status::Ok();
 }
 
-Status JournalWriter::AppendCheckpoint(int64_t next_generation) {
-  std::string gen;
-  PutVarint(&gen, static_cast<uint64_t>(next_generation));
-  SLG_RETURN_IF_ERROR(AppendRecord(kCheckpointRecord, gen));
+Status JournalWriter::AppendCheckpoint(int64_t next_generation,
+                                       int64_t folded) {
+  std::string payload;
+  PutVarint(&payload, static_cast<uint64_t>(next_generation));
+  PutVarint(&payload, static_cast<uint64_t>(folded));
+  SLG_RETURN_IF_ERROR(AppendRecord(kCheckpointRecord, payload));
   return Sync();
 }
 
@@ -370,7 +366,10 @@ Status JournalWriter::Sync() {
   return s;
 }
 
-Status JournalWriter::Close() { return file_.Close(); }
+Status JournalWriter::Close() {
+  if (unsynced_batches_ > 0) SLG_RETURN_IF_ERROR(Sync());
+  return file_.Close();
+}
 
 StatusOr<JournalReplay> ReplayJournal(const std::string& path) {
   std::string bytes;
@@ -424,9 +423,17 @@ StatusOr<JournalReplay> ReplayJournal(const std::string& path) {
     if (type == kCheckpointRecord) {
       Reader r(payload);
       uint64_t gen = 0;
-      if (have_pending || !r.ReadVarint(&gen) || !r.AtEnd()) break;
+      // A marker without a folded count predates tail carrying: its
+      // rotation folded every batch of the file.
+      uint64_t folded = out.batches.size();
+      if (have_pending || !r.ReadVarint(&gen) ||
+          (!r.AtEnd() && !r.ReadVarint(&folded)) || !r.AtEnd() ||
+          folded > out.batches.size()) {
+        break;
+      }
       out.ends_with_checkpoint = true;
       out.next_generation = static_cast<int64_t>(gen);
+      out.folded = static_cast<int64_t>(folded);
       out.valid_bytes = static_cast<int64_t>(pos);
       break;  // a checkpoint marker always ends its file
     }

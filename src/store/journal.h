@@ -6,21 +6,22 @@
 // where body = type byte + payload:
 //   kOps (1):        payload = encoded batch (EncodeBatch below)
 //   kCommit (2):     payload = varint batch sequence number
-//   kCheckpoint (3): payload = varint generation the writer rotated to
+//   kCheckpoint (3): payload = varint next generation | varint folded
 //
 // A batch is durable iff its kOps record AND the following kCommit
 // record are intact; replay buffers ops until the commit and truncates
 // at the first torn or corrupt record instead of failing — everything
 // after the last intact commit (or checkpoint) marker is discarded.
-// A kCheckpoint record is always the last record of its file: the
-// writer appends it, fsyncs, and rotates to the next generation's
-// journal. Recovery re-runs the recompression exactly where the marker
-// sits, which is what makes recovered grammars byte-identical to the
-// pre-crash ones (see durable_document.h).
+// A kCheckpoint record seals its file and is always its last record:
+// a merge folded the file's first `folded` batches into the next
+// generation's snapshot, and the next generation's journal, made
+// durable before the seal, holds the batches after them (see
+// document_store.h for the rotation protocol).
 //
 // Batches are encoded self-contained — label NAMES, not table ids —
-// and the document applies the decoded form even on the live path, so
-// live application and replay intern labels in exactly the same order.
+// and DocumentService applies the decoded form on every path (write,
+// merge splice, recovery), so all of them intern labels in exactly the
+// same order.
 
 #ifndef SLG_STORE_JOURNAL_H_
 #define SLG_STORE_JOURNAL_H_
@@ -42,7 +43,7 @@ inline constexpr uint32_t kJournalFormatVersion = 1;
 
 // How often the journal fsyncs.
 enum class FsyncPolicy {
-  kNone,        // never (the OS decides); fastest, loses the most on crash
+  kNone,        // only on Close; fastest, loses the most on crash
   kEveryBatch,  // after every commit marker; an acked batch is durable
   kEveryN,      // after every n-th commit marker
 };
@@ -74,7 +75,7 @@ class JournalWriter {
                                         FaultInjector* fi);
   // Opens an existing journal whose valid prefix holds
   // `committed_batches` batches, for appending. The caller is expected
-  // to have truncated any torn tail first (DurableDocument::Open does).
+  // to have truncated any torn tail first (DocumentStore::Resume does).
   static StatusOr<JournalWriter> OpenExisting(const std::string& path,
                                               int64_t committed_batches,
                                               const JournalOptions& options,
@@ -84,15 +85,17 @@ class JournalWriter {
   // fsync policy. `encoded` is an EncodeBatch payload.
   Status AppendBatch(std::string_view encoded);
 
-  // Appends the rotation marker and fsyncs unconditionally — the
-  // fallback chain (previous snapshot + this journal) must be complete
-  // before the next snapshot is written, whatever the batch policy.
-  Status AppendCheckpoint(int64_t next_generation);
+  // Appends the seal — the merge folded this file's first `folded`
+  // batches into generation `next_generation` — and fsyncs
+  // unconditionally: the fallback chain (previous snapshot + this
+  // journal's folded prefix) must be durable before the next snapshot
+  // is written, whatever the batch policy.
+  Status AppendCheckpoint(int64_t next_generation, int64_t folded);
 
   Status Sync();
+  // Fsyncs batches the policy left unsynced, then closes: a cleanly
+  // closed journal is durable whatever the policy.
   Status Close();
-
-  int64_t batches_appended() const { return next_seq_; }
 
  private:
   JournalWriter(File file, int64_t next_seq, const JournalOptions& options)
@@ -103,7 +106,7 @@ class JournalWriter {
   File file_;
   JournalOptions options_;
   int64_t next_seq_ = 0;        // commit sequence of the next batch
-  int unsynced_batches_ = 0;
+  int unsynced_batches_ = 0;    // appended since the last fsync
 };
 
 struct JournalReplay {
@@ -111,9 +114,12 @@ struct JournalReplay {
   // Committed batches in order, still encoded (DecodeBatch to use).
   std::vector<std::string> batches;
   // True if the last intact record is a checkpoint marker: the writer
-  // rotated to `next_generation` right after.
+  // rotated to `next_generation` right after, and the merge folded the
+  // first `folded` batches (the rest were carried into the next
+  // generation's journal).
   bool ends_with_checkpoint = false;
   int64_t next_generation = 0;
+  int64_t folded = 0;
   // Length of the valid prefix: end of the last intact commit or
   // checkpoint marker (or the header). Everything after is torn or
   // corrupt and should be truncated before appending.

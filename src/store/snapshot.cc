@@ -132,7 +132,6 @@ StatusOr<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir) {
     return Status::NotFound("no snapshot in " + dir);
   }
   std::sort(gens.begin(), gens.end(), std::greater<int64_t>());
-  int64_t skipped = 0;
   std::string last_error;
   for (int64_t gen : gens) {
     std::string bytes;
@@ -140,14 +139,13 @@ StatusOr<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir) {
     if (read.ok()) {
       StatusOr<Grammar> g = DecodeSnapshot(bytes);
       if (g.ok()) {
-        LoadedSnapshot out{g.take(), gen, skipped};
+        LoadedSnapshot out{g.take(), gen};
         return out;
       }
       last_error = g.status().message();
     } else {
       last_error = read.message();
     }
-    ++skipped;
   }
   return Status::DataLoss("every snapshot generation in " + dir +
                           " is corrupt or unreadable (last: " + last_error +

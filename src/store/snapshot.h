@@ -49,9 +49,6 @@ Status WriteSnapshot(const std::string& dir, int64_t generation,
 struct LoadedSnapshot {
   Grammar grammar;
   int64_t generation = 0;
-  // Number of newer snapshot files that existed but failed to load
-  // (corrupt or unreadable) before this one succeeded.
-  int64_t skipped = 0;
 };
 
 // Loads the newest valid snapshot in `dir`. NotFound if no snapshot

@@ -9,7 +9,7 @@
 //  * equivalence — the document the service serves after racy
 //    writer/reader/merge interleavings is byte-identical (ToXml) to a
 //    single-threaded replay of the same ops on the plain binary tree,
-//    and all merge strategies serve the same document;
+//    and localized and full merges serve the same document;
 //  * batch atomicity — a failed batch (or single-op convenience)
 //    publishes nothing: same version, same bytes;
 //  * durability composition — with durable_dir set, acked batches
@@ -32,6 +32,7 @@
 
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
+#include "src/grammar/binary_format.h"
 #include "src/store/io.h"
 #include "src/workload/update_workload.h"
 #include "src/xml/binary_encoding.h"
@@ -260,22 +261,31 @@ TEST(DocumentServiceTest, ReadersRaceWritersAndMerges) {
   EXPECT_EQ(svc->OpenReader().ToXml().value(), f.FinalXml());
 }
 
-TEST(DocumentServiceTest, MergeStrategiesServeTheSameDocument) {
+TEST(DocumentServiceTest, LocalizedAndFullMergesServeTheSameDocument) {
   Fixture f = MakeFixture(Corpus::kExiTelecomp, 0.02, 60, 6, 53);
   const std::string want = f.FinalXml();
-  for (MergeStrategy strategy :
-       {MergeStrategy::kLocalized, MergeStrategy::kFull, MergeStrategy::kUdc}) {
+  for (bool localized : {true, false}) {
     ServiceOptions opts = ManualMerge();
-    opts.merge_strategy = strategy;
+    opts.update.localized = localized;
     auto svc = DocumentService::FromGrammar(f.seed.Clone(), opts).take();
     auto writer = svc->OpenWriter();
     for (const auto& batch : f.batches) {
       ASSERT_TRUE(writer.Apply(batch).ok());
     }
+    const Grammar merge_input =
+        svc->OpenReader().snapshot().grammar().Clone();
     ASSERT_TRUE(svc->Flush().ok());
     EXPECT_EQ(svc->OpenReader().ToXml().value(), want)
-        << "strategy " << static_cast<int>(strategy);
-    EXPECT_GE(svc->GetStats().merges, 1);
+        << "localized " << localized;
+    EXPECT_EQ(svc->GetStats().merges, 1);
+    // The option is honoured: a full merge is GrammarRePair of the
+    // overlay, byte for byte.
+    if (!localized) {
+      EXPECT_EQ(SerializeGrammar(svc->OpenReader().snapshot().grammar()),
+                SerializeGrammar(
+                    GrammarRePair(merge_input.Clone(), opts.update.repair)
+                        .grammar));
+    }
   }
 }
 
@@ -343,12 +353,10 @@ TEST(DocumentServiceTest, DurableServiceRecoversUnseenTagsAcrossMerges) {
   std::string dir = NewDir("unseen");
   ServiceOptions opts;
   opts.durable_dir = dir;
-  // Adaptive mode: every merge also drives the durable store's
-  // checkpoint, so both lineages mint their own Fresh labels and their
-  // LabelIds diverge. The regression this pins: ops carrying service
-  // ids into the store were rejected (rename to a tag the store had
-  // not seen) or indexed its label table out of bounds (insert of a
-  // new tag) — the handoff must be the name-based encoded payload.
+  // Adaptive mode: merges mint Fresh nonterminals between writes that
+  // intern previously unseen tags, so journaled batches must be
+  // replayable against tables that grew in between — they carry label
+  // names, never ids.
   opts.update.growth_trigger = 0.01;
   opts.update.min_checkpoint_ops = 1;
 
@@ -362,7 +370,7 @@ TEST(DocumentServiceTest, DurableServiceRecoversUnseenTagsAcrossMerges) {
         writer.InsertXmlBefore(pos.value(), "<audit><trail/></audit>").ok());
     ASSERT_TRUE(writer.Rename(1, "weblog").ok());
     ASSERT_TRUE(svc->Flush().ok());  // merge + durable checkpoint
-    // Keep writing previously-unseen tags after the lineages diverged.
+    // Keep writing previously-unseen tags after the merge.
     ASSERT_TRUE(writer.Rename(1, "weblog2").ok());
     auto pos2 = svc->OpenReader().FindElement("trail", 1);
     ASSERT_TRUE(pos2.ok());

@@ -1,30 +1,40 @@
-// Crash-consistency proof obligations for the durable document store:
+// Crash-consistency proof obligations for durable serving
+// (DocumentService with durable_dir set, over src/store/):
 //
 //  * crash matrix — a fault-free recording pass counts every
-//    injectable I/O operation of a Create + batches + checkpoint +
-//    close scenario; then, for every operation index and three crash
+//    injectable I/O operation of a FromGrammar + batches + Flush +
+//    destroy scenario; then, for every operation index and three crash
 //    flavors (clean crash, torn+bit-flipped write, power loss dropping
 //    unsynced bytes), the scenario is crashed there, reopened, and the
-//    recovered grammar must be byte-identical (SerializeGrammar) to a
-//    committed-prefix state — never a torn in-between;
+//    recovered effective grammar must be byte-identical
+//    (SerializeGrammar) to a committed-prefix state — never a torn
+//    in-between;
+//  * fsync-policy equivalence — under the power-loss model, kNone /
+//    kEveryN / kEveryBatch all recover committed prefixes, and
+//    kEveryBatch never loses an acknowledged batch;
 //  * corruption sweep — every byte flip and every truncation of every
 //    on-disk file must leave Open returning a Status (possibly
 //    falling back a generation), never crashing, and any grammar it
 //    does return must validate;
-//  * fsync-policy equivalence — under the power-loss model, kNone /
-//    kEveryN / kEveryBatch all recover committed prefixes, and
-//    kEveryBatch never loses an acknowledged batch;
-//  * warm-reopen determinism — close + reopen mid-workload yields the
-//    same final grammar bytes as one continuous run, on all six
-//    corpora.
+//  * snapshot fallback — a corrupt or unpublished newest snapshot is
+//    rebuilt by re-running the merge on the sealed journal's folded
+//    prefix, byte-identical, and healed on disk;
+//  * reopen determinism — close + reopen mid-workload, then a later
+//    Flush, yields the same grammar bytes as one continuous run, on
+//    all six corpora: recovery rebuilds the unmerged batches' damage,
+//    so the next merge is the uninterrupted one;
+//  * a clean Open writes nothing, and replays only what the last
+//    merge left unmerged.
 //
-// The committed-prefix chain is computed by a test-local mirror that
-// replays the same decode-apply-recompress pipeline the document and
-// its recovery share; the reference run asserts live == mirror at
-// every step, which independently pins the decode-then-apply
-// determinism the recovery guarantee rests on.
+// Every scenario merges only on Flush (growth_trigger 0), so the I/O
+// sequence — and with it the crash-matrix domain — is deterministic.
+// A rotation that carries batches acknowledged during its merge is
+// written through DocumentStore directly, for the same reason.
+// The committed-prefix chain comes from a test-local mirror that
+// reimplements decode-apply-merge from the public pieces; the
+// reference run asserts served == mirror at every step.
 
-#include "src/store/durable_document.h"
+#include "src/service/document_service.h"
 
 #include <gtest/gtest.h>
 
@@ -34,6 +44,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -43,7 +55,9 @@
 #include "src/datasets/generators.h"
 #include "src/grammar/binary_format.h"
 #include "src/grammar/validate.h"
+#include "src/obs/metrics.h"
 #include "src/store/crc32c.h"
+#include "src/store/document_store.h"
 #include "src/store/io.h"
 #include "src/store/journal.h"
 #include "src/store/snapshot.h"
@@ -93,16 +107,35 @@ std::string ReadRaw(const std::string& path) {
   return bytes;
 }
 
+// Every file of `dir`, by name.
+std::map<std::string, std::string> DirContents(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  StatusOr<std::vector<std::string>> names = ListDir(dir);
+  EXPECT_TRUE(names.ok()) << names.status().ToString();
+  if (names.ok()) {
+    for (const std::string& name : names.value()) {
+      files[name] = ReadRaw(JoinPath(dir, name));
+    }
+  }
+  return files;
+}
+
+int64_t ReplayedBatches() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("store.journal.replayed_batches")
+      .Value();
+}
+
 // --------------------------------------------------------------------
-// Scenario: a starting grammar plus a batched workload with one
-// explicit checkpoint, shared by the crash-matrix and policy tests.
+// Scenario: a starting grammar plus a batched workload, with Flush()
+// after the batches listed in flush_after.
 
 struct Scenario {
   Grammar start;
   std::vector<std::vector<UpdateOp>> batches;
-  int checkpoint_after = -1;  // explicit Checkpoint() after this batch
+  std::set<int> flush_after;
   int NumSteps() const {
-    return static_cast<int>(batches.size()) + (checkpoint_after >= 0 ? 1 : 0);
+    return static_cast<int>(batches.size() + flush_after.size());
   }
 };
 
@@ -125,141 +158,126 @@ void MakeScenario(Corpus corpus, double scale, int num_ops, int batch_size,
     size_t end = std::min(w.ops.size(), at + batch_size);
     sc->batches.emplace_back(w.ops.begin() + at, w.ops.begin() + end);
   }
-  sc->checkpoint_after = static_cast<int>(sc->batches.size()) / 2;
+  const int n = static_cast<int>(sc->batches.size());
+  sc->flush_after = {n / 3, 2 * n / 3};
 }
 
-DurableDocumentOptions StoreOpts(FaultInjector* fi = nullptr) {
-  DurableDocumentOptions opts;
-  opts.update.growth_trigger = 0.3;
-  opts.update.min_checkpoint_ops = 4;
+ServiceOptions DurableOpts(const std::string& dir,
+                           FaultInjector* fi = nullptr) {
+  ServiceOptions opts;
+  opts.update.growth_trigger = 0;  // merge only on Flush()
+  opts.durable_dir = dir;
   opts.fault_injector = fi;
   return opts;
 }
 
+std::string ServedBytes(const DocumentService& svc) {
+  return SerializeGrammar(svc.OpenReader().snapshot().grammar());
+}
+
 struct RunOutcome {
   bool create_ok = false;
-  int acked = 0;  // steps (ApplyBatch / Checkpoint) that returned Ok
+  int acked = 0;  // steps (Apply / Flush) that returned Ok
 };
 
-RunOutcome RunScenario(const std::string& dir, const Scenario& sc,
-                       const DurableDocumentOptions& opts) {
+// Runs the scenario to its end or its first failed step, then destroys
+// the service (which closes the journal).
+RunOutcome RunScenario(const Scenario& sc, const ServiceOptions& opts) {
   RunOutcome out;
-  StatusOr<DurableDocument> created =
-      DurableDocument::Create(dir, sc.start.Clone(), opts);
+  auto created = DocumentService::FromGrammar(sc.start.Clone(), opts);
   if (!created.ok()) return out;
   out.create_ok = true;
-  DurableDocument doc = created.take();
+  std::unique_ptr<DocumentService> svc = created.take();
+  DocumentService::Writer writer = svc->OpenWriter();
   for (size_t i = 0; i < sc.batches.size(); ++i) {
-    if (!doc.ApplyBatch(sc.batches[i]).ok()) return out;
+    if (!writer.Apply(sc.batches[i]).ok()) return out;
     ++out.acked;
-    if (static_cast<int>(i) == sc.checkpoint_after) {
-      if (!doc.Checkpoint().ok()) return out;
+    if (sc.flush_after.count(static_cast<int>(i)) > 0) {
+      if (!svc->Flush().ok()) return out;
       ++out.acked;
     }
   }
-  doc.Close();
   return out;
 }
 
 // --------------------------------------------------------------------
-// Mirror: the decode-apply-recompress pipeline the document and its
-// recovery share, reimplemented from the same public pieces, used to
-// enumerate every committed-prefix state a crash may recover to.
+// Mirror: decode-apply-merge reimplemented from the public pieces, in
+// place on one grammar, used to enumerate every committed-prefix state
+// a crash may recover to.
 
-class MirrorDoc {
+class Mirror {
  public:
-  MirrorDoc(Grammar g, const DurableDocumentOptions& opts)
-      : g_(std::move(g)), opts_(opts) {}
+  explicit Mirror(Grammar g) : g_(std::move(g)) {}
 
-  std::string Encode(const std::vector<UpdateOp>& ops) {
-    return EncodeBatch(ops, g_.labels());
-  }
-
-  Status ApplyEncoded(const std::string& encoded) {
-    std::vector<UpdateOp> ops;
-    SLG_RETURN_IF_ERROR(DecodeBatch(encoded, &g_.labels(), &ops));
+  void Apply(const std::vector<UpdateOp>& ops) {
+    std::vector<UpdateOp> decoded;
+    ASSERT_TRUE(
+        DecodeBatch(EncodeBatch(ops, g_.labels()), &g_.labels(), &decoded)
+            .ok());
     BatchUpdater batch(&g_);
-    for (const UpdateOp& op : ops) SLG_RETURN_IF_ERROR(batch.Apply(op));
+    for (const UpdateOp& op : decoded) ASSERT_TRUE(batch.Apply(op).ok());
     batch.Finish();
     for (LabelId rule : batch.DamagedRules()) {
       if (seen_.insert(rule).second) damage_.push_back(rule);
     }
-    return Status::Ok();
   }
 
-  void Rotate() {
-    GrammarRepairResult r =
-        (opts_.update.localized && !damage_.empty())
-            ? LocalizedGrammarRePair(std::move(g_), damage_, opts_.update.repair)
-            : GrammarRePair(std::move(g_), opts_.update.repair);
-    g_ = std::move(r.grammar);
+  void Merge() {
+    UpdateOptions update;
+    g_ = LocalizedGrammarRePair(std::move(g_), damage_, update.repair).grammar;
     damage_.clear();
     seen_.clear();
   }
 
+  const Grammar& grammar() const { return g_; }
   std::string Bytes() const { return SerializeGrammar(g_); }
 
  private:
   Grammar g_;
-  DurableDocumentOptions opts_;
   std::vector<LabelId> damage_;
   std::unordered_set<LabelId> seen_;
 };
 
 struct Reference {
-  // Every committed-prefix state, in commit order: after Create, then
-  // after each batch commit and each rotation.
+  // Every committed-prefix state, in commit order: after FromGrammar,
+  // then after each step.
   std::vector<std::string> chain;
   // chain index reached after step s completes (index 0 = after
-  // Create); size NumSteps() + 1.
+  // FromGrammar); size NumSteps() + 1.
   std::vector<int> pos_after_step;
 };
 
 void BuildReference(const Scenario& sc, Reference* ref) {
   std::string dir = NewDir("ref");
-  DurableDocumentOptions opts = StoreOpts();
-  StatusOr<DurableDocument> created =
-      DurableDocument::Create(dir, sc.start.Clone(), opts);
+  auto created = DocumentService::FromGrammar(sc.start.Clone(),
+                                              DurableOpts(dir));
   ASSERT_TRUE(created.ok()) << created.status().ToString();
-  DurableDocument doc = created.take();
-  MirrorDoc mirror(sc.start.Clone(), opts);
-  ref->chain.push_back(SerializeGrammar(doc.grammar()));
-  ASSERT_EQ(ref->chain.back(), mirror.Bytes());
-  ref->pos_after_step.push_back(0);
-  int64_t gen = doc.generation();
-  int rotations = 0;
-  for (size_t i = 0; i < sc.batches.size(); ++i) {
-    std::string encoded = mirror.Encode(sc.batches[i]);
-    Status applied = doc.ApplyBatch(sc.batches[i]);
-    ASSERT_TRUE(applied.ok()) << applied.ToString();
-    ASSERT_TRUE(mirror.ApplyEncoded(encoded).ok());
+  std::unique_ptr<DocumentService> svc = created.take();
+  DocumentService::Writer writer = svc->OpenWriter();
+  Mirror mirror(sc.start.Clone());
+  auto step = [&]() {
     ref->chain.push_back(mirror.Bytes());
-    if (doc.generation() != gen) {
-      gen = doc.generation();
-      mirror.Rotate();
-      ref->chain.push_back(mirror.Bytes());
-      ++rotations;
-    }
-    // The load-bearing assertion: the live grammar is byte-identical
-    // to the mirror's replay of its own journal encoding, at every
-    // step — this is exactly why recovery reproduces live states.
-    ASSERT_EQ(SerializeGrammar(doc.grammar()), ref->chain.back())
-        << "live and mirrored state diverge after batch " << i;
     ref->pos_after_step.push_back(static_cast<int>(ref->chain.size()) - 1);
-    if (static_cast<int>(i) == sc.checkpoint_after) {
-      Status cp = doc.Checkpoint();
-      ASSERT_TRUE(cp.ok()) << cp.ToString();
-      gen = doc.generation();
-      mirror.Rotate();
-      ref->chain.push_back(mirror.Bytes());
-      ++rotations;
-      ASSERT_EQ(SerializeGrammar(doc.grammar()), ref->chain.back());
-      ref->pos_after_step.push_back(static_cast<int>(ref->chain.size()) - 1);
+    // The load-bearing assertion: the served grammar is byte-identical
+    // to the mirror's in-place replay at every step — exactly why
+    // recovery reproduces served states.
+    ASSERT_EQ(ServedBytes(*svc), ref->chain.back())
+        << "served and mirrored state diverge after step "
+        << ref->chain.size() - 1;
+  };
+  ASSERT_NO_FATAL_FAILURE(step());
+  for (size_t i = 0; i < sc.batches.size(); ++i) {
+    Status applied = writer.Apply(sc.batches[i]);
+    ASSERT_TRUE(applied.ok()) << applied.ToString();
+    ASSERT_NO_FATAL_FAILURE(mirror.Apply(sc.batches[i]));
+    ASSERT_NO_FATAL_FAILURE(step());
+    if (sc.flush_after.count(static_cast<int>(i)) > 0) {
+      ASSERT_TRUE(svc->Flush().ok());
+      mirror.Merge();
+      ASSERT_NO_FATAL_FAILURE(step());
     }
   }
-  EXPECT_GE(rotations, 2) << "scenario too tame: the adaptive trigger "
-                             "never fired on top of the explicit checkpoint";
-  EXPECT_TRUE(doc.Close().ok());
+  svc.reset();
   RemoveTree(dir);
 }
 
@@ -273,10 +291,40 @@ void ExpectCommittedPrefix(const Reference& ref, const std::string& got,
                 << "prefix state in chain[" << lo << ".." << hi << "]";
 }
 
+// The recovered document must take writes and merges again: a Flush
+// (which rotates when batches were replayed) and a rename of the root
+// to its own tag.
+void ExpectUsable(DocumentService* svc, const std::string& context) {
+  Status flushed = svc->Flush();
+  EXPECT_TRUE(flushed.ok()) << context << ": " << flushed.ToString();
+  StatusOr<std::string> root = svc->OpenReader().LabelAt(1);
+  ASSERT_TRUE(root.ok()) << context;
+  Status renamed = svc->OpenWriter().Rename(1, root.value());
+  EXPECT_TRUE(renamed.ok()) << context << ": " << renamed.ToString();
+}
+
 // --------------------------------------------------------------------
 // Crash matrix.
 
-TEST(DurableDocumentCrashMatrix, EveryCrashPointRecoversCommittedPrefix) {
+// The three crash flavors: a clean crash, a torn write with a flipped
+// bit, and a power loss that drops unsynced bytes.
+struct Mode {
+  const char* name;
+  double fraction;
+  bool flip;
+  bool drop;
+
+  FaultInjector::Plan PlanAt(int64_t k) const {
+    FaultInjector::Plan plan;
+    plan.crash_at = k;
+    plan.short_write_fraction = fraction;
+    plan.flip_bit = flip;
+    plan.drop_unsynced = drop;
+    return plan;
+  }
+};
+
+TEST(DurableServiceCrashMatrix, EveryCrashPointRecoversCommittedPrefix) {
   Scenario sc;
   MakeScenario(Corpus::kExiWeblog, 0.02, 24, 3, 11, &sc);
   Reference ref;
@@ -287,7 +335,7 @@ TEST(DurableDocumentCrashMatrix, EveryCrashPointRecoversCommittedPrefix) {
   FaultInjector counter;
   {
     std::string dir = NewDir("count");
-    RunOutcome r = RunScenario(dir, sc, StoreOpts(&counter));
+    RunOutcome r = RunScenario(sc, DurableOpts(dir, &counter));
     ASSERT_TRUE(r.create_ok);
     ASSERT_EQ(r.acked, S);
     RemoveTree(dir);
@@ -295,12 +343,6 @@ TEST(DurableDocumentCrashMatrix, EveryCrashPointRecoversCommittedPrefix) {
   const int64_t total_ops = counter.ops_seen();
   ASSERT_GT(total_ops, 30) << "scenario exercises too few I/O points";
 
-  struct Mode {
-    const char* name;
-    double fraction;
-    bool flip;
-    bool drop;
-  };
   const Mode kModes[] = {
       {"crash", 1.0, false, false},
       {"torn+flip", 0.5, true, false},
@@ -308,26 +350,19 @@ TEST(DurableDocumentCrashMatrix, EveryCrashPointRecoversCommittedPrefix) {
   };
   for (const Mode& mode : kModes) {
     for (int64_t k = 0; k < total_ops; ++k) {
-      FaultInjector::Plan plan;
-      plan.crash_at = k;
-      plan.short_write_fraction = mode.fraction;
-      plan.flip_bit = mode.flip;
-      plan.drop_unsynced = mode.drop;
-      FaultInjector fi(plan);
+      FaultInjector fi(mode.PlanAt(k));
       std::string dir = NewDir("crash");
-      RunOutcome r = RunScenario(dir, sc, StoreOpts(&fi));
+      RunOutcome r = RunScenario(sc, DurableOpts(dir, &fi));
       ASSERT_TRUE(fi.crashed()) << mode.name << " k=" << k;
       const std::string context =
           std::string(mode.name) + " at op " + std::to_string(k);
 
-      StatusOr<DurableDocument> opened =
-          DurableDocument::Open(dir, StoreOpts());
+      auto opened = DocumentService::Open(DurableOpts(dir));
       if (!r.create_ok) {
-        // Create died before acknowledging: either nothing durable
-        // exists yet, or the empty generation-1 document survives.
+        // FromGrammar died before acknowledging: either nothing
+        // durable exists yet, or the generation-1 document survives.
         if (opened.ok()) {
-          EXPECT_EQ(SerializeGrammar(opened.value().grammar()), ref.chain[0])
-              << context;
+          EXPECT_EQ(ServedBytes(*opened.value()), ref.chain[0]) << context;
         } else {
           EXPECT_EQ(opened.status().code(), StatusCode::kNotFound) << context;
         }
@@ -336,20 +371,138 @@ TEST(DurableDocumentCrashMatrix, EveryCrashPointRecoversCommittedPrefix) {
       }
       ASSERT_TRUE(opened.ok())
           << context << ": " << opened.status().ToString();
-      DurableDocument doc = opened.take();
-      Status valid = Validate(doc.grammar());
+      std::unique_ptr<DocumentService> svc = opened.take();
+      const Grammar& g = svc->OpenReader().snapshot().grammar();
+      Status valid = Validate(g);
       EXPECT_TRUE(valid.ok()) << context << ": " << valid.ToString();
       const int lo = ref.pos_after_step[static_cast<size_t>(r.acked)];
       const int hi =
           ref.pos_after_step[static_cast<size_t>(std::min(r.acked + 1, S))];
-      ExpectCommittedPrefix(ref, SerializeGrammar(doc.grammar()), lo, hi,
-                            context);
+      ExpectCommittedPrefix(ref, SerializeGrammar(g), lo, hi, context);
       // Subsample: the recovered document must be fully usable.
-      if (k % 7 == 0) {
-        Status usable = doc.Checkpoint();
-        EXPECT_TRUE(usable.ok()) << context << ": " << usable.ToString();
+      if (k % 7 == 0) ExpectUsable(svc.get(), context);
+      svc.reset();
+      RemoveTree(dir);
+    }
+  }
+}
+
+// A rotation that carries a tail: the merge folded batches 0-1 while
+// batches 2-3 were acknowledged, so journal 2 starts with 2-3. Writes
+// racing a merge make that timing-dependent in a live service, so the
+// directory is written through the store itself, with the merged base
+// from the mirror; recovery still runs through DocumentService::Open.
+struct TailRun {
+  Reference ref;
+  std::vector<std::string> encoded;  // batches 0-4
+  Grammar merged;                    // batches 0-1, merged
+};
+
+void BuildTailRun(const Scenario& sc, TailRun* run) {
+  Mirror plain(sc.start.Clone());
+  Mirror folded(sc.start.Clone());
+  run->ref.chain.push_back(plain.Bytes());
+  run->ref.pos_after_step.push_back(0);
+  for (int i = 0; i < 5; ++i) {
+    run->encoded.push_back(EncodeBatch(sc.batches[i], sc.start.labels()));
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_NO_FATAL_FAILURE(plain.Apply(sc.batches[i]));
+    run->ref.chain.push_back(plain.Bytes());
+    run->ref.pos_after_step.push_back(i + 1);
+  }
+  for (int i : {0, 1}) ASSERT_NO_FATAL_FAILURE(folded.Apply(sc.batches[i]));
+  folded.Merge();
+  run->merged = folded.grammar().Clone();
+  for (int i : {2, 3}) ASSERT_NO_FATAL_FAILURE(folded.Apply(sc.batches[i]));
+  run->ref.chain.push_back(folded.Bytes());  // after the rotation
+  run->ref.pos_after_step.push_back(5);
+  ASSERT_NO_FATAL_FAILURE(folded.Apply(sc.batches[4]));
+  run->ref.chain.push_back(folded.Bytes());
+  run->ref.pos_after_step.push_back(6);
+}
+
+// Create, append 0-3, rotate (folded 2, tail 2-3), append 4, close;
+// returns the steps that returned Ok, or -1 if Create failed.
+int WriteTailRun(const std::string& dir, const TailRun& run,
+                 const Grammar& start, FaultInjector* fi) {
+  StatusOr<DocumentStore> created =
+      DocumentStore::Create(dir, start, JournalOptions{}, fi);
+  if (!created.ok()) return -1;
+  DocumentStore store = created.take();
+  int acked = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (!store.Append(run.encoded[static_cast<size_t>(i)]).ok()) return acked;
+    ++acked;
+  }
+  if (!store.Rotate(run.merged, 2, {run.encoded[2], run.encoded[3]}).ok()) {
+    return acked;
+  }
+  ++acked;
+  if (!store.Append(run.encoded[4]).ok()) return acked;
+  ++acked;
+  (void)store.Close();
+  return acked;
+}
+
+TEST(DurableServiceCrashMatrix, RotationCarryingATailRecoversCommittedPrefix) {
+  Scenario sc;
+  MakeScenario(Corpus::kXMark, 0.02, 15, 3, 57, &sc);
+  TailRun run;
+  ASSERT_NO_FATAL_FAILURE(BuildTailRun(sc, &run));
+  const int S = 6;
+
+  FaultInjector counter;
+  {
+    std::string dir = NewDir("tailcount");
+    ASSERT_EQ(WriteTailRun(dir, run, sc.start, &counter), S);
+    auto opened = DocumentService::Open(DurableOpts(dir));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(ServedBytes(*opened.value()), run.ref.chain.back());
+    opened.value().reset();
+    // A lost snapshot 2 is rebuilt from journal 1's folded prefix, byte
+    // for byte, and journal 2's tail is replayed on top of it.
+    const std::string snap2 = JoinPath(dir, SnapshotFileName(2));
+    const std::string published = ReadRaw(snap2);
+    ASSERT_EQ(::unlink(snap2.c_str()), 0);
+    const int64_t replayed_before = ReplayedBatches();
+    opened = DocumentService::Open(DurableOpts(dir));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(ReplayedBatches() - replayed_before, 2 + 3);
+    EXPECT_EQ(ServedBytes(*opened.value()), run.ref.chain.back());
+    EXPECT_EQ(ReadRaw(snap2), published);
+    opened.value().reset();
+    RemoveTree(dir);
+  }
+  const Mode kModes[] = {
+      {"crash", 1.0, false, false},
+      {"torn+flip", 0.5, true, false},
+      {"powerloss", 1.0, false, true},
+  };
+  for (const Mode& mode : kModes) {
+    for (int64_t k = 0; k < counter.ops_seen(); ++k) {
+      FaultInjector fi(mode.PlanAt(k));
+      std::string dir = NewDir("tailcrash");
+      const int acked = WriteTailRun(dir, run, sc.start, &fi);
+      const std::string context =
+          std::string(mode.name) + " at op " + std::to_string(k);
+      auto opened = DocumentService::Open(DurableOpts(dir));
+      if (acked < 0) {
+        if (opened.ok()) {
+          EXPECT_EQ(ServedBytes(*opened.value()), run.ref.chain[0])
+              << context;
+        }
+        RemoveTree(dir);
+        continue;
       }
-      EXPECT_TRUE(doc.Close().ok()) << context;
+      ASSERT_TRUE(opened.ok())
+          << context << ": " << opened.status().ToString();
+      const int lo = run.ref.pos_after_step[static_cast<size_t>(acked)];
+      const int hi = run.ref.pos_after_step[static_cast<size_t>(
+          std::min(acked + 1, S))];
+      ExpectCommittedPrefix(run.ref, ServedBytes(*opened.value()), lo, hi,
+                            context);
+      opened.value().reset();
       RemoveTree(dir);
     }
   }
@@ -358,7 +511,7 @@ TEST(DurableDocumentCrashMatrix, EveryCrashPointRecoversCommittedPrefix) {
 // --------------------------------------------------------------------
 // Fsync-policy equivalence under the power-loss model.
 
-TEST(DurableDocumentFsyncPolicy, AllPoliciesRecoverCommittedPrefixes) {
+TEST(DurableServiceFsyncPolicy, AllPoliciesRecoverCommittedPrefixes) {
   Scenario sc;
   MakeScenario(Corpus::kMedline, 0.02, 18, 3, 23, &sc);
   Reference ref;
@@ -376,16 +529,16 @@ TEST(DurableDocumentFsyncPolicy, AllPoliciesRecoverCommittedPrefixes) {
       {"every-3", FsyncPolicy::kEveryN, 3},
   };
   for (const Policy& p : kPolicies) {
-    DurableDocumentOptions base = StoreOpts();
-    base.journal.policy = p.policy;
-    if (p.every_n > 0) base.journal.every_n = p.every_n;
-
+    auto opts_for = [&](const std::string& dir, FaultInjector* fi) {
+      ServiceOptions opts = DurableOpts(dir, fi);
+      opts.journal.policy = p.policy;
+      if (p.every_n > 0) opts.journal.every_n = p.every_n;
+      return opts;
+    };
     FaultInjector counter;
     {
-      DurableDocumentOptions opts = base;
-      opts.fault_injector = &counter;
       std::string dir = NewDir("pcount");
-      RunOutcome r = RunScenario(dir, sc, opts);
+      RunOutcome r = RunScenario(sc, opts_for(dir, &counter));
       ASSERT_TRUE(r.create_ok && r.acked == S) << p.name;
       RemoveTree(dir);
     }
@@ -394,26 +547,22 @@ TEST(DurableDocumentFsyncPolicy, AllPoliciesRecoverCommittedPrefixes) {
       plan.crash_at = k;
       plan.drop_unsynced = true;  // the model where policies differ
       FaultInjector fi(plan);
-      DurableDocumentOptions opts = base;
-      opts.fault_injector = &fi;
       std::string dir = NewDir("policy");
-      RunOutcome r = RunScenario(dir, sc, opts);
+      RunOutcome r = RunScenario(sc, opts_for(dir, &fi));
       const std::string context =
           std::string("policy ") + p.name + " powerloss at op " +
           std::to_string(k);
-      StatusOr<DurableDocument> opened =
-          DurableDocument::Open(dir, StoreOpts());
+      auto opened = DocumentService::Open(DurableOpts(dir));
       if (!r.create_ok) {
         if (opened.ok()) {
-          EXPECT_EQ(SerializeGrammar(opened.value().grammar()), ref.chain[0])
-              << context;
+          EXPECT_EQ(ServedBytes(*opened.value()), ref.chain[0]) << context;
         }
         RemoveTree(dir);
         continue;
       }
       ASSERT_TRUE(opened.ok())
           << context << ": " << opened.status().ToString();
-      std::string got = SerializeGrammar(opened.value().grammar());
+      std::string got = ServedBytes(*opened.value());
       // Weaker policies may lose unsynced committed batches, but every
       // recovered state is still some committed prefix...
       const int hi =
@@ -424,6 +573,7 @@ TEST(DurableDocumentFsyncPolicy, AllPoliciesRecoverCommittedPrefixes) {
         const int lo = ref.pos_after_step[static_cast<size_t>(r.acked)];
         ExpectCommittedPrefix(ref, got, lo, hi, context + " (durability)");
       }
+      opened.value().reset();
       RemoveTree(dir);
     }
   }
@@ -432,32 +582,14 @@ TEST(DurableDocumentFsyncPolicy, AllPoliciesRecoverCommittedPrefixes) {
 // --------------------------------------------------------------------
 // Corruption sweep: every byte flip, every truncation, of every file.
 
-TEST(DurableDocumentCorruptionSweep, OpenNeverCrashesOnMangledFiles) {
+TEST(DurableServiceCorruptionSweep, OpenNeverCrashesOnMangledFiles) {
   Scenario sc;
   MakeScenario(Corpus::kExiTelecomp, 0.015, 12, 3, 31, &sc);
+  sc.flush_after = {1};  // two generations, with batches on both sides
   std::string dir = NewDir("sweep");
-  {
-    DurableDocumentOptions opts = StoreOpts();
-    opts.update.growth_trigger = 0;  // rotate only at the explicit checkpoint
-    StatusOr<DurableDocument> created =
-        DurableDocument::Create(dir, sc.start.Clone(), opts);
-    ASSERT_TRUE(created.ok());
-    DurableDocument doc = created.take();
-    for (size_t i = 0; i < sc.batches.size(); ++i) {
-      ASSERT_TRUE(doc.ApplyBatch(sc.batches[i]).ok());
-      if (static_cast<int>(i) == sc.checkpoint_after) {
-        ASSERT_TRUE(doc.Checkpoint().ok());
-      }
-    }
-    ASSERT_TRUE(doc.Close().ok());
-  }
-  std::map<std::string, std::string> pristine;
-  StatusOr<std::vector<std::string>> listing = ListDir(dir);
-  ASSERT_TRUE(listing.ok());
-  for (const std::string& name : listing.value()) {
-    pristine[name] = ReadRaw(JoinPath(dir, name));
-  }
-  ASSERT_GE(pristine.size(), 3u);  // two generations of files at least
+  ASSERT_EQ(RunScenario(sc, DurableOpts(dir)).acked, sc.NumSteps());
+  const std::map<std::string, std::string> pristine = DirContents(dir);
+  ASSERT_EQ(pristine.size(), 4u);  // two generations of both files
 
   auto restore_with = [&](const std::string& mutated_name,
                           const std::string& mutated_bytes) {
@@ -469,10 +601,9 @@ TEST(DurableDocumentCorruptionSweep, OpenNeverCrashesOnMangledFiles) {
     }
   };
   auto check_open = [&](const std::string& context) {
-    StatusOr<DurableDocument> opened =
-        DurableDocument::Open(dir, StoreOpts());
+    auto opened = DocumentService::Open(DurableOpts(dir));
     if (opened.ok()) {
-      Status valid = Validate(opened.value().grammar());
+      Status valid = Validate(opened.value()->OpenReader().snapshot().grammar());
       EXPECT_TRUE(valid.ok()) << context << ": " << valid.ToString();
     } else {
       StatusCode code = opened.status().code();
@@ -499,50 +630,88 @@ TEST(DurableDocumentCorruptionSweep, OpenNeverCrashesOnMangledFiles) {
       check_open("truncate " + name + " to " + std::to_string(len));
     }
   }
+  RemoveTree(dir);
+}
+
+// A record that passes its CRC but cannot be applied — the corruption
+// beat the checksum, or a writer bug — is DataLoss, never a crash.
+TEST(DurableServiceCorruptionSweep, UnreplayableCommittedBatchIsDataLoss) {
+  Scenario sc;
+  MakeScenario(Corpus::kExiWeblog, 0.01, 4, 2, 33, &sc);
+  std::string dir = NewDir("unreplayable");
+  {
+    StatusOr<DocumentStore> created =
+        DocumentStore::Create(dir, sc.start, JournalOptions{}, nullptr);
+    ASSERT_TRUE(created.ok());
+    std::vector<UpdateOp> out_of_range(1);
+    out_of_range[0].kind = UpdateOp::Kind::kDelete;
+    out_of_range[0].preorder = 1 << 30;
+    ASSERT_TRUE(created.value()
+                    .Append(EncodeBatch(out_of_range, sc.start.labels()))
+                    .ok());
+    ASSERT_TRUE(created.value().Close().ok());
+  }
+  auto opened = DocumentService::Open(DurableOpts(dir));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss)
+      << opened.status().ToString();
+  RemoveTree(dir);
 }
 
 // --------------------------------------------------------------------
-// Warm-reopen determinism, all six corpora.
+// Reopen determinism, all six corpora: the recovered document, and the
+// merge it runs next, match one continuous run.
 
-TEST(DurableDocumentReopen, ReopenMidWorkloadIsByteIdenticalToContinuous) {
+TEST(DurableServiceReopen, ReopenMidWorkloadThenFlushMatchesContinuous) {
   for (const CorpusInfo& info : AllCorpora()) {
     Scenario sc;
     MakeScenario(info.id, 0.02, 20, 4, 40 + static_cast<uint64_t>(info.id),
                  &sc);
-    sc.checkpoint_after = -1;  // adaptive rotations only
+    const size_t quarter = sc.batches.size() / 4;
+    const size_t half = sc.batches.size() / 2;
+    auto run = [&](DocumentService* svc, size_t from, size_t to) {
+      for (size_t i = from; i < to; ++i) {
+        ASSERT_TRUE(svc->OpenWriter().Apply(sc.batches[i]).ok()) << info.name;
+        if (i + 1 == quarter) {
+          ASSERT_TRUE(svc->Flush().ok()) << info.name;
+        }
+      }
+    };
 
     std::string dir_a = NewDir("cont");
-    StatusOr<DurableDocument> a =
-        DurableDocument::Create(dir_a, sc.start.Clone(), StoreOpts());
-    ASSERT_TRUE(a.ok()) << info.name;
-    for (const auto& batch : sc.batches) {
-      ASSERT_TRUE(a.value().ApplyBatch(batch).ok()) << info.name;
+    std::string at_half;
+    std::string continuous;
+    {
+      auto a = DocumentService::FromGrammar(sc.start.Clone(),
+                                            DurableOpts(dir_a));
+      ASSERT_TRUE(a.ok()) << info.name;
+      ASSERT_NO_FATAL_FAILURE(run(a.value().get(), 0, half));
+      at_half = ServedBytes(*a.value());
+      ASSERT_NO_FATAL_FAILURE(run(a.value().get(), half, sc.batches.size()));
+      ASSERT_TRUE(a.value()->Flush().ok());
+      continuous = ServedBytes(*a.value());
     }
-    std::string continuous = SerializeGrammar(a.value().grammar());
-    ASSERT_TRUE(a.value().Close().ok());
 
     std::string dir_b = NewDir("split");
-    const size_t half = sc.batches.size() / 2;
     {
-      StatusOr<DurableDocument> b =
-          DurableDocument::Create(dir_b, sc.start.Clone(), StoreOpts());
+      auto b = DocumentService::FromGrammar(sc.start.Clone(),
+                                            DurableOpts(dir_b));
       ASSERT_TRUE(b.ok()) << info.name;
-      for (size_t i = 0; i < half; ++i) {
-        ASSERT_TRUE(b.value().ApplyBatch(sc.batches[i]).ok()) << info.name;
-      }
-      ASSERT_TRUE(b.value().Close().ok());
+      ASSERT_NO_FATAL_FAILURE(run(b.value().get(), 0, half));
     }
-    StatusOr<DurableDocument> b = DurableDocument::Open(dir_b, StoreOpts());
+    const int64_t replayed_before = ReplayedBatches();
+    auto b = DocumentService::Open(DurableOpts(dir_b));
     ASSERT_TRUE(b.ok()) << info.name << ": " << b.status().ToString();
-    EXPECT_LE(b.value().recovery_stats().batches_replayed,
-              static_cast<int64_t>(half))
+    // Only the batches since the Flush at `quarter` are replayed.
+    EXPECT_EQ(ReplayedBatches() - replayed_before,
+              static_cast<int64_t>(half - quarter))
         << info.name;
-    for (size_t i = half; i < sc.batches.size(); ++i) {
-      ASSERT_TRUE(b.value().ApplyBatch(sc.batches[i]).ok()) << info.name;
-    }
-    EXPECT_EQ(SerializeGrammar(b.value().grammar()), continuous)
+    EXPECT_EQ(ServedBytes(*b.value()), at_half) << info.name;
+    ASSERT_NO_FATAL_FAILURE(run(b.value().get(), half, sc.batches.size()));
+    ASSERT_TRUE(b.value()->Flush().ok());
+    EXPECT_EQ(ServedBytes(*b.value()), continuous)
         << "reopen diverges from the continuous run on " << info.name;
-    ASSERT_TRUE(b.value().Close().ok());
+    b.value().reset();
     RemoveTree(dir_a);
     RemoveTree(dir_b);
   }
@@ -551,172 +720,205 @@ TEST(DurableDocumentReopen, ReopenMidWorkloadIsByteIdenticalToContinuous) {
 // --------------------------------------------------------------------
 // Snapshot generation fallback + self-healing.
 
-TEST(DurableDocumentFallback, CorruptNewestSnapshotFallsBackAndHeals) {
+TEST(DurableServiceFallback, CorruptOrMissingNewestSnapshotIsRebuilt) {
   Scenario sc;
   MakeScenario(Corpus::kXMark, 0.02, 12, 3, 55, &sc);
-  std::string dir = NewDir("fallback");
-  std::string final_bytes;
-  {
-    DurableDocumentOptions opts = StoreOpts();
-    opts.update.growth_trigger = 0;
-    StatusOr<DurableDocument> created =
-        DurableDocument::Create(dir, sc.start.Clone(), opts);
-    ASSERT_TRUE(created.ok());
-    DurableDocument doc = created.take();
-    ASSERT_TRUE(doc.ApplyBatch(sc.batches[0]).ok());
-    ASSERT_TRUE(doc.ApplyBatch(sc.batches[1]).ok());
-    ASSERT_TRUE(doc.Checkpoint().ok());
-    ASSERT_TRUE(doc.ApplyBatch(sc.batches[2]).ok());
-    ASSERT_EQ(doc.generation(), 2);
-    final_bytes = SerializeGrammar(doc.grammar());
-    ASSERT_TRUE(doc.Close().ok());
+  Mirror mirror(sc.start.Clone());
+  for (int i : {0, 1}) ASSERT_NO_FATAL_FAILURE(mirror.Apply(sc.batches[i]));
+  mirror.Merge();
+  ASSERT_NO_FATAL_FAILURE(mirror.Apply(sc.batches[2]));
+  const std::string served = mirror.Bytes();
+  mirror.Merge();
+  const std::string flushed = mirror.Bytes();
+
+  for (const char* damage : {"corrupt", "missing"}) {
+    std::string dir = NewDir("fallback");
+    {
+      auto created = DocumentService::FromGrammar(sc.start.Clone(),
+                                                  DurableOpts(dir));
+      ASSERT_TRUE(created.ok());
+      std::unique_ptr<DocumentService> svc = created.take();
+      ASSERT_TRUE(svc->OpenWriter().Apply(sc.batches[0]).ok());
+      ASSERT_TRUE(svc->OpenWriter().Apply(sc.batches[1]).ok());
+      ASSERT_TRUE(svc->Flush().ok());
+      ASSERT_TRUE(svc->OpenWriter().Apply(sc.batches[2]).ok());
+      ASSERT_EQ(ServedBytes(*svc), served);
+    }
+    // Recovery must fall back to snapshot 1, replay the two batches
+    // journal 1's seal says were folded, re-run the merge, publish
+    // snapshot 2 again, and replay journal 2 on top.
+    std::string snap2 = JoinPath(dir, SnapshotFileName(2));
+    std::string bytes = ReadRaw(snap2);
+    if (std::string(damage) == "corrupt") {
+      bytes[bytes.size() / 2] =
+          static_cast<char>(bytes[bytes.size() / 2] ^ 0xff);
+      WriteRaw(snap2, bytes);
+    } else {
+      ASSERT_EQ(::unlink(snap2.c_str()), 0);
+    }
+
+    const int64_t replayed_before = ReplayedBatches();
+    auto opened = DocumentService::Open(DurableOpts(dir));
+    ASSERT_TRUE(opened.ok()) << damage << ": " << opened.status().ToString();
+    EXPECT_EQ(ReplayedBatches() - replayed_before, 3) << damage;
+    EXPECT_EQ(ServedBytes(*opened.value()), served) << damage;
+    // Healed: snapshot 2 decodes to the merged base again.
+    StatusOr<Grammar> healed = DecodeSnapshot(ReadRaw(snap2));
+    ASSERT_TRUE(healed.ok()) << damage;
+    // The replayed batch is pending again, with its damage: the next
+    // merge is the uninterrupted one.
+    ASSERT_TRUE(opened.value()->Flush().ok());
+    EXPECT_EQ(ServedBytes(*opened.value()), flushed) << damage;
+    opened.value().reset();
+    RemoveTree(dir);
   }
-  // Mangle the newest snapshot; recovery must fall back to snapshot 1,
-  // re-run the rotation recorded in journal 1, and land byte-identical
-  // on the same state — healing snapshot 2 on the way.
-  std::string snap2 = JoinPath(dir, SnapshotFileName(2));
-  std::string bytes = ReadRaw(snap2);
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0xff);
-  WriteRaw(snap2, bytes);
+}
 
-  StatusOr<DurableDocument> opened = DurableDocument::Open(dir, StoreOpts());
+// --------------------------------------------------------------------
+// Checkpoint cadence and read-only recovery.
+
+TEST(DurableServiceCheckpoint, FlushOnlyServiceCheckpointsEveryMerge) {
+  Scenario sc;
+  MakeScenario(Corpus::kExiWeblog, 0.01, 16, 4, 17, &sc);
+  std::string dir = NewDir("flushonly");
+  {
+    auto created = DocumentService::FromGrammar(sc.start.Clone(),
+                                                DurableOpts(dir));
+    ASSERT_TRUE(created.ok());
+    std::unique_ptr<DocumentService> svc = created.take();
+    ASSERT_TRUE(svc->OpenWriter().Apply(sc.batches[0]).ok());
+    ASSERT_TRUE(svc->OpenWriter().Apply(sc.batches[1]).ok());
+    ASSERT_TRUE(svc->Flush().ok());
+    ASSERT_TRUE(svc->OpenWriter().Apply(sc.batches[2]).ok());
+    ASSERT_TRUE(svc->OpenWriter().Apply(sc.batches[3]).ok());
+  }
+  const std::map<std::string, std::string> files = DirContents(dir);
+  EXPECT_EQ(files.count(SnapshotFileName(2)), 1u);
+  EXPECT_EQ(files.count(JournalFileName(2)), 1u);
+  const int64_t replayed_before = ReplayedBatches();
+  auto opened = DocumentService::Open(DurableOpts(dir));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  const RecoveryStats& stats = opened.value().recovery_stats();
-  EXPECT_EQ(stats.snapshots_skipped, 1);
-  EXPECT_GE(stats.checkpoints_replayed, 1);
-  EXPECT_EQ(SerializeGrammar(opened.value().grammar()), final_bytes);
-  ASSERT_TRUE(opened.value().Close().ok());
+  // Only the batches acknowledged after the Flush.
+  EXPECT_EQ(ReplayedBatches() - replayed_before, 2);
+  opened.value().reset();
+  RemoveTree(dir);
+}
 
-  // The healed snapshot must decode on its own again.
-  EXPECT_TRUE(DecodeSnapshot(ReadRaw(snap2)).ok());
+TEST(DurableServiceCheckpoint, OpenOnACleanDirectoryWritesNothing) {
+  Scenario sc;
+  MakeScenario(Corpus::kNcbi, 0.02, 12, 3, 19, &sc);
+  sc.flush_after = {1};
+  std::string dir = NewDir("clean");
+  ASSERT_EQ(RunScenario(sc, DurableOpts(dir)).acked, sc.NumSteps());
+  const std::map<std::string, std::string> before = DirContents(dir);
+  int64_t first_replay = -1;
+  for (int round = 0; round < 3; ++round) {
+    const int64_t replayed_before = ReplayedBatches();
+    auto opened = DocumentService::Open(DurableOpts(dir));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const int64_t replayed = ReplayedBatches() - replayed_before;
+    if (round == 0) first_replay = replayed;
+    EXPECT_EQ(replayed, first_replay) << "round " << round;
+    opened.value().reset();
+    EXPECT_EQ(DirContents(dir), before) << "round " << round;
+  }
+  EXPECT_EQ(first_replay, static_cast<int64_t>(sc.batches.size() - 2));
   RemoveTree(dir);
 }
 
 // --------------------------------------------------------------------
-// Label-lineage hygiene: ids from another document's table must be
-// rejected cleanly (never indexed), and the encoded name-based entry
-// point must carry batches across diverged lineages.
+// Label-id hygiene: ids from another document's table are rejected
+// before EncodeBatch indexes the table.
 
-TEST(DurableDocumentApply, AlienLabelIdsAreRejectedNotIndexed) {
+TEST(DurableServiceApply, AlienLabelIdsAreRejectedNotIndexed) {
   Scenario sc;
   MakeScenario(Corpus::kExiWeblog, 0.01, 4, 2, 91, &sc);
   std::string dir = NewDir("alien");
-  StatusOr<DurableDocument> created =
-      DurableDocument::Create(dir, sc.start.Clone(), StoreOpts());
+  auto created = DocumentService::FromGrammar(sc.start.Clone(),
+                                              DurableOpts(dir));
   ASSERT_TRUE(created.ok());
-  DurableDocument doc = created.take();
-  const std::string before = SerializeGrammar(doc.grammar());
+  std::unique_ptr<DocumentService> svc = created.take();
+  DocumentService::Writer writer = svc->OpenWriter();
+  const std::string before = ServedBytes(*svc);
+  const std::string journal = JoinPath(dir, JournalFileName(1));
+  const int64_t journal_size = FileSize(journal).value();
   // One past the table: exactly the id a caller that interned a new
-  // tag into its own lineage first would hand us.
-  const LabelId alien = doc.grammar().labels().size();
+  // tag into its own table first would hand us.
+  const LabelId alien = sc.start.labels().size();
 
   std::vector<UpdateOp> rename(1);
   rename[0].kind = UpdateOp::Kind::kRename;
   rename[0].preorder = 1;
   rename[0].label = alien;
-  EXPECT_EQ(doc.ApplyBatch(rename).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(writer.Apply(rename).code(), StatusCode::kInvalidArgument);
 
   std::vector<UpdateOp> insert(1);
   insert[0].kind = UpdateOp::Kind::kInsert;
   insert[0].preorder = 2;
   insert[0].fragment.SetRoot(insert[0].fragment.NewNode(alien));
-  EXPECT_EQ(doc.ApplyBatch(insert).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(writer.Apply(insert).code(), StatusCode::kInvalidArgument);
 
-  // Clean rejection: nothing mutated, journaled, or poisoned.
-  EXPECT_FALSE(doc.poisoned());
-  EXPECT_EQ(SerializeGrammar(doc.grammar()), before);
-  ASSERT_TRUE(doc.ApplyBatch(sc.batches[0]).ok());
-  ASSERT_TRUE(doc.Close().ok());
-  RemoveTree(dir);
-}
-
-TEST(DurableDocumentApply, EncodedBatchCrossesLabelTableLineages) {
-  Scenario sc;
-  MakeScenario(Corpus::kExiWeblog, 0.01, 4, 2, 93, &sc);
-  std::string dir = NewDir("lineage");
-  DurableDocumentOptions opts = StoreOpts();
-  opts.update.growth_trigger = 0;
-  StatusOr<DurableDocument> created =
-      DurableDocument::Create(dir, sc.start.Clone(), opts);
-  ASSERT_TRUE(created.ok());
-  DurableDocument doc = created.take();
-
-  // A writer lineage that interned extra labels first: "fresh_tag" is
-  // absent from the store's table and every foreign id after the
-  // padding disagrees with the store's numbering — only the name-based
-  // payload can cross.
-  LabelTable foreign = doc.grammar().labels();
-  foreign.Intern("lineage_padding", 2);
-  std::vector<UpdateOp> rename(1);
-  rename[0].kind = UpdateOp::Kind::kRename;
-  rename[0].preorder = 1;
-  rename[0].label = foreign.Intern("fresh_tag", 2);
-
-  ASSERT_TRUE(doc.ApplyEncodedBatch(EncodeBatch(rename, foreign)).ok());
-  EXPECT_NE(doc.grammar().labels().Find("fresh_tag"), kNoLabel);
-  // Only names the ops actually carry travel across.
-  EXPECT_EQ(doc.grammar().labels().Find("lineage_padding"), kNoLabel);
-
-  const std::string live = SerializeGrammar(doc.grammar());
-  ASSERT_TRUE(doc.Close().ok());
-  StatusOr<DurableDocument> opened = DurableDocument::Open(dir, opts);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_EQ(opened.value().recovery_stats().batches_replayed, 1);
-  EXPECT_EQ(SerializeGrammar(opened.value().grammar()), live);
-  ASSERT_TRUE(opened.value().Close().ok());
+  // Clean rejection: nothing published, journaled, or poisoned.
+  EXPECT_EQ(svc->OpenReader().version(), 0);
+  EXPECT_EQ(ServedBytes(*svc), before);
+  EXPECT_EQ(FileSize(journal).value(), journal_size);
+  ASSERT_TRUE(writer.Apply(sc.batches[0]).ok());
+  EXPECT_GT(FileSize(journal).value(), journal_size);
+  EXPECT_TRUE(svc->Flush().ok());
+  svc.reset();
   RemoveTree(dir);
 }
 
 // --------------------------------------------------------------------
-// Poisoning: a durability failure taints the handle, not the disk.
+// Poisoning: a durability failure taints the service, not the disk.
 
-TEST(DurableDocumentPoison, IoFailurePoisonsHandleAndReopenRecovers) {
+TEST(DurableServicePoison, IoFailurePoisonsServiceAndReopenRecovers) {
   Scenario sc;
   MakeScenario(Corpus::kNcbi, 0.02, 6, 3, 77, &sc);
-  // Count Create's ops so the failure lands on the first journal
-  // append of batch 1.
+  // Count FromGrammar's ops so the failure lands on the first journal
+  // append of batch 0.
   FaultInjector counter;
   std::string probe = NewDir("poisonprobe");
   {
-    DurableDocumentOptions opts = StoreOpts(&counter);
-    StatusOr<DurableDocument> d =
-        DurableDocument::Create(probe, sc.start.Clone(), opts);
-    ASSERT_TRUE(d.ok());
-    ASSERT_TRUE(d.value().Close().ok());
+    auto svc = DocumentService::FromGrammar(sc.start.Clone(),
+                                            DurableOpts(probe, &counter));
+    ASSERT_TRUE(svc.ok());
   }
   RemoveTree(probe);
 
   FaultInjector::Plan plan;
-  plan.fail_at = counter.ops_seen() - 1;  // Close was counted too
+  plan.fail_at = counter.ops_seen() - 1;  // the destructor's close counted too
   FaultInjector fi(plan);
   std::string dir = NewDir("poison");
-  DurableDocumentOptions opts = StoreOpts(&fi);
-  StatusOr<DurableDocument> created =
-      DurableDocument::Create(dir, sc.start.Clone(), opts);
-  ASSERT_TRUE(created.ok());
-  DurableDocument doc = created.take();
-  std::string committed = SerializeGrammar(doc.grammar());
+  {
+    auto created = DocumentService::FromGrammar(sc.start.Clone(),
+                                                DurableOpts(dir, &fi));
+    ASSERT_TRUE(created.ok());
+    std::unique_ptr<DocumentService> svc = created.take();
+    DocumentService::Writer writer = svc->OpenWriter();
+    const std::string committed = ServedBytes(*svc);
 
-  Status failed = doc.ApplyBatch(sc.batches[0]);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.code(), StatusCode::kIoError);
-  EXPECT_TRUE(doc.poisoned());
-  EXPECT_EQ(doc.ApplyBatch(sc.batches[1]).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(doc.Checkpoint().code(), StatusCode::kFailedPrecondition);
-  doc.Close();
+    Status failed = writer.Apply(sc.batches[0]);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.code(), StatusCode::kIoError);
+    EXPECT_EQ(writer.Apply(sc.batches[1]).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(svc->Flush().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(svc->OpenReader().version(), 0);
+    EXPECT_EQ(ServedBytes(*svc), committed);
+  }
 
-  StatusOr<DurableDocument> opened = DurableDocument::Open(dir, StoreOpts());
+  auto opened = DocumentService::Open(DurableOpts(dir));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_FALSE(opened.value().poisoned());
-  EXPECT_EQ(SerializeGrammar(opened.value().grammar()), committed);
-  ASSERT_TRUE(opened.value().ApplyBatch(sc.batches[0]).ok());
-  ASSERT_TRUE(opened.value().Close().ok());
+  EXPECT_EQ(ServedBytes(*opened.value()), SerializeGrammar(sc.start));
+  ASSERT_TRUE(opened.value()->OpenWriter().Apply(sc.batches[0]).ok());
+  EXPECT_TRUE(opened.value()->Flush().ok());
+  opened.value().reset();
   RemoveTree(dir);
 }
 
 // --------------------------------------------------------------------
-// Journal unit tests: framing, torn tails, checkpoint markers.
+// Journal unit tests: framing, torn tails, seals.
 
 TEST(Journal, ReplayReturnsCommittedBatchesAndDropsGarbageTail) {
   std::string dir = NewDir("wal");
@@ -768,13 +970,14 @@ TEST(Journal, ReplayReturnsCommittedBatchesAndDropsGarbageTail) {
         JournalWriter::OpenExisting(path, 2, JournalOptions{}, nullptr);
     ASSERT_TRUE(w.ok());
     JournalWriter writer = w.take();
-    ASSERT_TRUE(writer.AppendCheckpoint(7).ok());
+    ASSERT_TRUE(writer.AppendCheckpoint(7, 1).ok());
     ASSERT_TRUE(writer.Close().ok());
     StatusOr<JournalReplay> r = ReplayJournal(path);
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(r.value().batches.size(), 2u);
     EXPECT_TRUE(r.value().ends_with_checkpoint);
     EXPECT_EQ(r.value().next_generation, 7);
+    EXPECT_EQ(r.value().folded, 1);
   }
   // A header that never became durable replays as empty.
   WriteRaw(path, pristine.substr(0, 5));
