@@ -5,6 +5,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/bench_util/reporting.h"
 #include "src/core/call_graph_cache.h"
 #include "src/core/cursor.h"
@@ -17,11 +23,13 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/repair/tree_repair.h"
+#include "src/service/document_service.h"
 #include "src/update/batch.h"
 #include "src/update/path_isolation.h"
 #include "src/update/update_ops.h"
 #include "src/workload/update_workload.h"
 #include "src/xml/binary_encoding.h"
+#include "src/xml/xml_writer.h"
 
 namespace slg {
 namespace {
@@ -232,6 +240,72 @@ void BM_GrammarRePairRecompress(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.nodes);
 }
 BENCHMARK(BM_GrammarRePairRecompress);
+
+// Writer::Apply of one fixed 4-op batch on a served document (no
+// merges), over a size series: treebank / medline at scale x1, x2, x4.
+// The batch inserts a copy of the root's first child before it, renames
+// the copy, deletes it and renames the original to its own tag, so the
+// document is the same after every write and each iteration pays the
+// steady-state cost of a write: clone, the start rule's edit, garbage
+// collection and the child snapshot. Flat across x1..x4 means a write
+// costs the rules it touched, not the whole grammar.
+struct WriteFixture {
+  std::unique_ptr<DocumentService> svc;
+  std::vector<UpdateOp> batch;
+};
+
+WriteFixture& GetWriteFixture(Corpus corpus, int times) {
+  static std::map<std::pair<Corpus, int>, WriteFixture>* fixtures =
+      new std::map<std::pair<Corpus, int>, WriteFixture>();
+  auto [it, fresh] = fixtures->try_emplace({corpus, times});
+  WriteFixture& f = it->second;
+  if (!fresh) return f;
+  ServiceOptions opts;
+  opts.update.growth_trigger = 0;  // merge only on Flush(): none here
+  XmlTree xml = GenerateCorpus(corpus, 0.1 * times);
+  f.svc = DocumentService::FromXml(WriteXml(xml, {}), opts).take();
+  DocumentService::Reader r = f.svc->OpenReader();
+  const LabelTable& labels = r.snapshot().grammar().labels();
+  LabelId first = labels.Find(r.LabelAt(2).value());
+  LabelId root = labels.Find(r.LabelAt(1).value());
+  SLG_CHECK(first != kNullLabel && root != kNullLabel);
+  Tree copy;
+  NodeId v = copy.NewNode(first);
+  copy.SetRoot(v);
+  copy.AppendChild(v, copy.NewNode(kNullLabel));
+  copy.AppendChild(v, copy.NewNode(kNullLabel));
+  f.batch.resize(4);
+  f.batch[0].kind = UpdateOp::Kind::kInsert;
+  f.batch[0].fragment = std::move(copy);
+  f.batch[1].kind = UpdateOp::Kind::kRename;
+  f.batch[1].label = root;
+  f.batch[2].kind = UpdateOp::Kind::kDelete;
+  f.batch[3].kind = UpdateOp::Kind::kRename;
+  f.batch[3].label = first;
+  for (UpdateOp& op : f.batch) op.preorder = 2;
+  return f;
+}
+
+void BM_WriterApply(benchmark::State& state) {
+  const Corpus corpus =
+      state.range(0) == 0 ? Corpus::kTreebank : Corpus::kMedline;
+  WriteFixture& f = GetWriteFixture(corpus, static_cast<int>(state.range(1)));
+  DocumentService::Writer writer = f.svc->OpenWriter();
+  for (auto _ : state) {
+    Status st = writer.Apply(f.batch);
+    SLG_CHECK(st.ok());
+  }
+  DocumentService::Reader r = f.svc->OpenReader();
+  const Grammar& g = r.snapshot().grammar();
+  state.SetLabel(std::string(corpus == Corpus::kTreebank ? "treebank" : "medline") +
+                 " x" + std::to_string(state.range(1)));
+  state.counters["rules"] = g.RuleCount();
+  state.counters["edges"] = static_cast<double>(r.snapshot().edges());
+  state.counters["start_nodes"] = g.rhs(g.start()).LiveCount();
+}
+BENCHMARK(BM_WriterApply)
+    ->ArgsProduct({{0, 1}, {1, 2, 4}})
+    ->Unit(benchmark::kMicrosecond);
 
 // Incremental usage propagation in steady state. A star of 1024
 // spokes (S calls every Ai, each Ai calls its private leaf Li); per

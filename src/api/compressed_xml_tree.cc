@@ -2,12 +2,11 @@
 
 #include <utility>
 
+#include "src/core/grammar_repair.h"
 #include "src/grammar/binary_format.h"
 #include "src/grammar/validate.h"
 #include "src/obs/trace.h"
-#include "src/update/batch.h"
-#include "src/xml/binary_encoding.h"
-#include "src/xml/xml_parser.h"
+#include "src/service/apply.h"
 
 namespace slg {
 
@@ -35,57 +34,30 @@ StatusOr<CompressedXmlTree> CompressedXmlTree::FromSnapshot(
 }
 
 Status CompressedXmlTree::Rename(int64_t preorder, std::string_view new_tag) {
-  // Clone-modify-swap: the update runs on a private clone, so any
-  // failure discards the clone and the published snapshot — and with
-  // it Serialize(), the damage set, the counter — is untouched.
-  Grammar next = snap_->grammar().Clone();
-  std::vector<LabelId> damage;
-  {
-    BatchUpdater batch(&next);
-    SLG_RETURN_IF_ERROR(batch.Rename(preorder, new_tag));
-    damage = batch.DamagedRules();
-    batch.Finish();
-  }
-  NoteDamage(damage);
-  snap_ = GrammarSnapshot::Make(std::move(next), snap_->version() + 1);
-  ++updates_since_recompress_;
-  MaybeAutoRecompress();
-  return Status::Ok();
+  return ApplyEncoded(EncodeRename(preorder, new_tag));
 }
 
 Status CompressedXmlTree::InsertXmlBefore(int64_t preorder,
                                           std::string_view xml_fragment) {
-  StatusOr<XmlTree> parsed = ParseXml(xml_fragment);
-  if (!parsed.ok()) return parsed.status();
-  Grammar next = snap_->grammar().Clone();
-  // The fragment's labels are interned into the clone's table; on
-  // failure the clone is dropped, table extension included.
-  Tree frag = EncodeBinary(parsed.value(), &next.labels());
-  std::vector<LabelId> damage;
-  {
-    BatchUpdater batch(&next);
-    SLG_RETURN_IF_ERROR(batch.InsertBefore(preorder, frag));
-    damage = batch.DamagedRules();
-    batch.Finish();
-  }
-  NoteDamage(damage);
-  snap_ = GrammarSnapshot::Make(std::move(next), snap_->version() + 1);
-  ++updates_since_recompress_;
-  MaybeAutoRecompress();
-  return Status::Ok();
+  StatusOr<std::string> encoded = EncodeInsertXml(preorder, xml_fragment);
+  if (!encoded.ok()) return encoded.status();
+  return ApplyEncoded(encoded.value());
 }
 
 Status CompressedXmlTree::Delete(int64_t preorder) {
-  Grammar next = snap_->grammar().Clone();
-  std::vector<LabelId> damage;
-  {
-    BatchUpdater batch(&next);
-    SLG_RETURN_IF_ERROR(batch.Delete(preorder));
-    damage = batch.DamagedRules();
-    batch.Finish();  // drops the snapshot, then garbage-collects
-  }
-  NoteDamage(damage);
-  snap_ = GrammarSnapshot::Make(std::move(next), snap_->version() + 1);
+  return ApplyEncoded(EncodeDelete(preorder));
+}
+
+Status CompressedXmlTree::ApplyEncoded(std::string_view encoded) {
+  // The update derives a child snapshot; any failure discards it, and
+  // the published snapshot — and with it Serialize(), the damage set,
+  // the counter — is untouched.
+  BatchEffects effects;
+  StatusOr<std::shared_ptr<const GrammarSnapshot>> next =
+      ApplyEncodedBatch(*snap_, encoded, snap_->version() + 1, &effects);
+  if (!next.ok()) return next.status();
+  NoteDamage(effects.damage);
+  snap_ = next.take();
   ++updates_since_recompress_;
   MaybeAutoRecompress();
   return Status::Ok();
@@ -105,7 +77,9 @@ void CompressedXmlTree::Recompress() {
       options_.localized && updates_since_recompress_ > 0
           ? LocalizedGrammarRePair(std::move(g), damage, options_.repair)
           : GrammarRePair(std::move(g), options_.repair);
-  snap_ = GrammarSnapshot::Make(std::move(r.grammar), snap_->version() + 1);
+  // Rules the repair left alone keep their bodies and index entries.
+  snap_ = GrammarSnapshot::Derive(*snap_, std::move(r.grammar),
+                                  snap_->version() + 1);
   updates_since_recompress_ = 0;
 }
 

@@ -10,7 +10,9 @@
 // immutable GrammarSnapshot type DocumentService serves concurrently
 // (src/service/snapshot.h): queries run against the snapshot's
 // navigation indexes without touching the grammar, and every mutation
-// is clone-modify-swap. Two consequences worth relying on:
+// derives a child snapshot through the service's apply path
+// (src/service/apply.h) and swaps it in. Two consequences worth
+// relying on:
 //
 //   * Reads are const and non-mutating. LabelAt runs on the grammar
 //     DAG in O(depth × rank) without isolating (the old facade
@@ -140,6 +142,8 @@ class CompressedXmlTree {
                     const UpdateOptions& update)
       : snap_(std::move(snap)), options_(update) {}
 
+  // The mutators' one path: ApplyEncodedBatch (src/service/apply.h).
+  Status ApplyEncoded(std::string_view encoded);
   void MaybeAutoRecompress();
   void NoteDamage(const std::vector<LabelId>& rules);
 

@@ -120,8 +120,9 @@ template <typename Index>
 int64_t ReplacePureLocalGens(Grammar& g, Index& index, CallGraphCache& cache,
                              const Digram& d, LabelId x,
                              const std::vector<NodeId>& local_gens) {
+  if (local_gens.empty()) return 0;
   const LabelId start = g.start();
-  Tree& ts = g.rhs(start);
+  Tree& ts = g.mutable_rhs(start);
   int64_t replacements = 0;
   bool start_root_changed = false;
   for (NodeId w : local_gens) {
@@ -200,7 +201,7 @@ GrammarRepairResult GrammarRePairWithIndex(Grammar g,
     std::vector<RuleNode> gens = index.Take(*d);
 
     const LabelId start = g.start();
-    Tree& ts = g.rhs(start);
+    const Tree& ts = g.rhs(start);
     std::vector<RuleNode> engine_gens;
     std::vector<NodeId> local_gens;
     for (const RuleNode& gen : gens) {
@@ -466,7 +467,9 @@ GrammarRepairResult LocalizedGrammarRePairWithIndex(
     LabelId x = g.labels().Fresh("X", DigramRank(*d, g.labels()));
     std::vector<RuleNode> gens = index.Take(*d);
 
-    Tree& ts = g.rhs(start);
+    // Unshared up front: the refresh below reads ts after this round's
+    // edits of the start rule.
+    Tree& ts = g.mutable_rhs(start);
     std::vector<RuleNode> engine_gens;
     std::vector<NodeId> local_gens;
     for (const RuleNode& gen : gens) {

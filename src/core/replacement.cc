@@ -289,13 +289,13 @@ class Engine {
       copy.SetRoot(copy.CopySubtreeFrom(body, body.root()));
       CountTreeRefs(g_->rhs(rule), -1);
       CountTreeRefs(copy, +1);
-      g_->rhs(rule) = std::move(copy);
+      g_->set_rhs(rule, std::move(copy));
       result_.changed_rules.push_back(rule);
       done.insert(rule);
     }
     for (LabelId rule : base_rules_) {
       if (done.count(rule) > 0) continue;
-      Tree& t = g_->rhs(rule);
+      Tree& t = g_->mutable_rhs(rule);
       TrackedRuleHooks* hooks = HooksFor(rule);
       // Targeted path for the tracked rule on a != b digrams: every
       // occurrence is in the generator list (no equal-label overlap
@@ -401,7 +401,7 @@ class Engine {
       auto it = simple_cs_flags_.find(rule);
       bool has_generators = base_rules_set_.count(rule) > 0;
       if (it == simple_cs_flags_.end() && !has_generators) continue;
-      Tree& t = g_->rhs(rule);
+      Tree& t = g_->mutable_rhs(rule);
       TrackedRuleHooks* hooks = HooksFor(rule);
       if (it != simple_cs_flags_.end()) {
         for (const auto& [node, flags] : Sorted(it->second)) {

@@ -1,5 +1,6 @@
 #include "src/grammar/grammar.h"
 
+#include <atomic>
 #include <utility>
 
 namespace slg {
@@ -21,14 +22,31 @@ void Grammar::AddRule(LabelId lhs, Tree rhs) {
     rule_index_.resize(static_cast<size_t>(lhs) + 1, -1);
   }
   rule_index_[static_cast<size_t>(lhs)] = static_cast<int64_t>(rules_.size());
-  rules_.push_back(StoredRule{lhs, std::move(rhs), false});
+  rules_.push_back(StoredRule{lhs, std::make_shared<Tree>(std::move(rhs))});
   ++live_rules_;
+}
+
+Tree& Grammar::mutable_rhs(LabelId l) {
+  std::shared_ptr<Tree>& body = rules_[IndexOf(l)].rhs;
+  if (body.use_count() == 1) {
+    // Sole owner. The count is read relaxed; the fence orders this
+    // grammar's edits after everything a grammar on another thread did
+    // with the body before it released its share.
+    std::atomic_thread_fence(std::memory_order_acquire);
+  } else {
+    body = std::make_shared<Tree>(*body);
+  }
+  return *body;
+}
+
+void Grammar::set_rhs(LabelId l, Tree rhs) {
+  SLG_CHECK(!rhs.empty());
+  rules_[IndexOf(l)].rhs = std::make_shared<Tree>(std::move(rhs));
 }
 
 void Grammar::RemoveRule(LabelId lhs) {
   size_t idx = IndexOf(lhs);
-  rules_[idx].dead = true;
-  rules_[idx].rhs = Tree();
+  rules_[idx].rhs.reset();
   rule_index_[static_cast<size_t>(lhs)] = -1;
   --live_rules_;
 }
@@ -37,7 +55,7 @@ std::vector<LabelId> Grammar::Nonterminals() const {
   std::vector<LabelId> out;
   out.reserve(static_cast<size_t>(live_rules_));
   for (const StoredRule& r : rules_) {
-    if (!r.dead) out.push_back(r.lhs);
+    if (r.rhs != nullptr) out.push_back(r.lhs);
   }
   return out;
 }

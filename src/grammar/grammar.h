@@ -12,12 +12,21 @@
 // Rule iteration order is the order of rule creation and is
 // deterministic, which keeps every algorithm in the library (and thus
 // every benchmark number) reproducible.
+//
+// Rule bodies are shared between clones, copy-on-write: Clone() copies
+// the rule table and the label table, not the trees. rhs() is a
+// read-only view and never copies; mutable_rhs() is the one way to
+// edit a body, and copies it first when another grammar still holds
+// it. So an edit never reaches a clone, and a clone costs O(rules +
+// labels) however large the bodies are. A reference from rhs() stays
+// valid until this grammar's next mutable_rhs()/set_rhs()/RemoveRule()
+// of the same rule — take it again after editing.
 
 #ifndef SLG_GRAMMAR_GRAMMAR_H_
 #define SLG_GRAMMAR_GRAMMAR_H_
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -57,6 +66,9 @@ class Grammar {
   Grammar(Grammar&&) = default;
   Grammar& operator=(Grammar&&) = default;
 
+  // A grammar deriving the same document whose rules share this one's
+  // bodies until either side edits them. Safe to call concurrently
+  // with edits of other grammars sharing the same bodies.
   Grammar Clone() const;
 
   LabelTable& labels() { return labels_; }
@@ -80,8 +92,12 @@ class Grammar {
     return !HasRule(l) && !labels_.IsParam(l);
   }
 
-  Tree& rhs(LabelId l) { return rules_[IndexOf(l)].rhs; }
-  const Tree& rhs(LabelId l) const { return rules_[IndexOf(l)].rhs; }
+  const Tree& rhs(LabelId l) const { return *rules_[IndexOf(l)].rhs; }
+  // The body for editing: unshared first (one copy) if another grammar
+  // holds it too.
+  Tree& mutable_rhs(LabelId l);
+  // Replaces l's body outright (no copy of the old one).
+  void set_rhs(LabelId l, Tree rhs);
 
   LabelId start() const { return start_; }
   void set_start(LabelId s) { start_ = s; }
@@ -94,7 +110,7 @@ class Grammar {
   template <typename Fn>
   void ForEachRule(Fn&& fn) const {
     for (const StoredRule& r : rules_) {
-      if (!r.dead) fn(r.lhs, r.rhs);
+      if (r.rhs != nullptr) fn(r.lhs, *r.rhs);
     }
   }
 
@@ -105,8 +121,7 @@ class Grammar {
  private:
   struct StoredRule {
     LabelId lhs = kNoLabel;
-    Tree rhs;
-    bool dead = false;
+    std::shared_ptr<Tree> rhs;  // null once the rule is removed
   };
 
   size_t IndexOf(LabelId l) const {
@@ -115,10 +130,10 @@ class Grammar {
   }
 
   LabelTable labels_;
-  // Deque: AddRule must not invalidate references to other rules'
-  // trees (algorithms hold them across rule creation, e.g. fragment
-  // export during version processing).
-  std::deque<StoredRule> rules_;
+  // Bodies live behind the pointers, so AddRule never invalidates
+  // references to other rules' trees (algorithms hold them across rule
+  // creation, e.g. fragment export during version processing).
+  std::vector<StoredRule> rules_;
   // Dense LabelId -> rules_ slot (-1 = no rule). rhs()/HasRule() are
   // the hottest calls in the whole library — every digram resolution
   // through TREEPARENT/TREECHILD does several — so this is a flat

@@ -76,12 +76,15 @@ void InlineIntoHosts(Grammar* g, LabelId q, const Tree& body,
                      const std::vector<LabelId>& hosts) {
   for (LabelId r : hosts) {
     if (!g->HasRule(r)) continue;
-    Tree& host = g->rhs(r);
-    // Collect call sites first; inlining invalidates traversal.
+    // Collect call sites first (inlining invalidates traversal), on the
+    // read-only body: a host without calls stays shared.
+    const Tree& scan = g->rhs(r);
     std::vector<NodeId> calls;
-    host.VisitPreorder(host.root(), [&](NodeId v) {
-      if (host.label(v) == q) calls.push_back(v);
+    scan.VisitPreorder(scan.root(), [&](NodeId v) {
+      if (scan.label(v) == q) calls.push_back(v);
     });
+    if (calls.empty()) continue;
+    Tree& host = g->mutable_rhs(r);
     for (NodeId call : calls) InlineCall(*g, &host, call, body);
   }
 }
@@ -90,14 +93,14 @@ void InlineIntoHosts(Grammar* g, LabelId q, const Tree& body,
 
 void InlineEverywhereAndRemove(Grammar* g, LabelId q) {
   // Move the body out first: the host may be scanned while we mutate.
-  Tree body = std::move(g->rhs(q));
+  Tree body = std::move(g->mutable_rhs(q));
   g->RemoveRule(q);
   InlineIntoHosts(g, q, body, g->Nonterminals());
 }
 
 void InlineEverywhereAndRemove(Grammar* g, LabelId q,
                                const std::vector<LabelId>& hosts) {
-  Tree body = std::move(g->rhs(q));
+  Tree body = std::move(g->mutable_rhs(q));
   g->RemoveRule(q);
   InlineIntoHosts(g, q, body, hosts);
 }

@@ -1,50 +1,72 @@
 #include "src/grammar/orders.h"
 
 #include <algorithm>
+#include <cstddef>
 
 namespace slg {
 
 namespace {
 
-// Per-rule list of distinct callees.
-std::unordered_map<LabelId, std::vector<LabelId>> Callees(const Grammar& g) {
-  std::unordered_map<LabelId, std::vector<LabelId>> out;
-  g.ForEachRule([&](LabelId lhs, const Tree& rhs) {
-    std::vector<LabelId>& callees = out[lhs];
+// Kahn-style topological sort over the "calls" relation. Returns true
+// on success (acyclic); `order` receives callees-first order. All
+// tables are flat, indexed by LabelId or by position in rule-creation
+// order.
+bool TopoSort(const Grammar& g, std::vector<LabelId>* order) {
+  std::vector<LabelId> rules = g.Nonterminals();
+  const size_t n = static_cast<size_t>(g.labels().size());
+  // Distinct callees of rules[i], sorted, at callees[callee_begin[i] ..
+  // callee_begin[i + 1]).
+  std::vector<size_t> callee_begin(rules.size() + 1, 0);
+  std::vector<LabelId> callees;
+  for (size_t i = 0; i < rules.size(); ++i) {
+    const Tree& rhs = g.rhs(rules[i]);
+    size_t from = callees.size();
     rhs.VisitPreorder(rhs.root(), [&](NodeId v) {
       LabelId l = rhs.label(v);
       if (g.IsNonterminal(l)) callees.push_back(l);
     });
-    std::sort(callees.begin(), callees.end());
-    callees.erase(std::unique(callees.begin(), callees.end()), callees.end());
-  });
-  return out;
-}
-
-// Kahn-style topological sort over the "calls" relation. Returns true
-// on success (acyclic); `order` receives callees-first order.
-bool TopoSort(const Grammar& g, std::vector<LabelId>* order) {
-  auto callees = Callees(g);
-  std::vector<LabelId> rules = g.Nonterminals();
-  // out_deg[R] = number of callees of R not yet emitted.
-  std::unordered_map<LabelId, int> pending;
-  std::unordered_map<LabelId, std::vector<LabelId>> callers;
-  for (LabelId r : rules) {
-    pending[r] = static_cast<int>(callees[r].size());
-    for (LabelId q : callees[r]) callers[q].push_back(r);
+    std::sort(callees.begin() + static_cast<std::ptrdiff_t>(from),
+              callees.end());
+    callees.erase(std::unique(callees.begin() +
+                                  static_cast<std::ptrdiff_t>(from),
+                              callees.end()),
+                  callees.end());
+    callee_begin[i + 1] = callees.size();
+  }
+  // pending[R] = number of callees of R not yet emitted; callers of Q
+  // at callers[caller_begin[Q] .. caller_begin[Q + 1]), in
+  // rule-creation order.
+  std::vector<int32_t> pending(n, 0);
+  std::vector<size_t> caller_begin(n + 1, 0);
+  for (size_t i = 0; i < rules.size(); ++i) {
+    pending[static_cast<size_t>(rules[i])] =
+        static_cast<int32_t>(callee_begin[i + 1] - callee_begin[i]);
+    for (size_t k = callee_begin[i]; k < callee_begin[i + 1]; ++k) {
+      ++caller_begin[static_cast<size_t>(callees[k]) + 1];
+    }
+  }
+  for (size_t l = 0; l < n; ++l) caller_begin[l + 1] += caller_begin[l];
+  std::vector<size_t> fill(caller_begin.begin(), caller_begin.end() - 1);
+  std::vector<LabelId> callers(callees.size());
+  for (size_t i = 0; i < rules.size(); ++i) {
+    for (size_t k = callee_begin[i]; k < callee_begin[i + 1]; ++k) {
+      callers[fill[static_cast<size_t>(callees[k])]++] = rules[i];
+    }
   }
   // Ready queue kept in deterministic (creation) order.
   std::vector<LabelId> ready;
   for (LabelId r : rules) {
-    if (pending[r] == 0) ready.push_back(r);
+    if (pending[static_cast<size_t>(r)] == 0) ready.push_back(r);
   }
   order->clear();
   order->reserve(rules.size());
   for (size_t i = 0; i < ready.size(); ++i) {
     LabelId q = ready[i];
     order->push_back(q);
-    for (LabelId r : callers[q]) {
-      if (--pending[r] == 0) ready.push_back(r);
+    for (size_t k = caller_begin[static_cast<size_t>(q)];
+         k < caller_begin[static_cast<size_t>(q) + 1]; ++k) {
+      LabelId r = callers[k];
+      if (--pending[static_cast<size_t>(r)] == 0) ready.push_back(r);
     }
   }
   return order->size() == rules.size();

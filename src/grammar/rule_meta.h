@@ -16,7 +16,9 @@
 // label table. Mutating the *interior* of an rhs tree (e.g. path
 // isolation inlining calls into the start rule) keeps the snapshot
 // valid: rule identity, ranks, roots, parameters and segment sizes of
-// the rules themselves are unchanged.
+// the rules themselves are unchanged. Derive() brings a snapshot
+// forward to an edited clone of its grammar at the cost of the rules
+// that changed.
 
 #ifndef SLG_GRAMMAR_RULE_META_H_
 #define SLG_GRAMMAR_RULE_META_H_
@@ -42,6 +44,19 @@ class RuleMeta {
   // batched update run. Keeps the snapshot usable without the full
   // O(|G|) rebuild.
   void ExtendForNewLabels(const Grammar& g);
+
+  // The with-sizes snapshot of g, a clone of parent's grammar that was
+  // edited since: parent's flat arrays, extended for new labels, with
+  // the `removed` rules cleared and the `rebuilt` rules (callees first)
+  // recomputed. Every other rule of g must still hold the very body
+  // parent indexes, with callees whose sizes are unchanged.
+  // `start_sizes`, when non-empty, are the static sizes of g's start
+  // rule by NodeId; a rebuilt rank-0 start rule then takes its one
+  // segment from the root's entry instead of a walk.
+  static RuleMeta Derive(const RuleMeta& parent, const Grammar& g,
+                         const std::vector<LabelId>& rebuilt,
+                         const std::vector<LabelId>& removed,
+                         const std::vector<int64_t>& start_sizes);
 
   int num_labels() const { return static_cast<int>(rank_.size()); }
 
@@ -77,7 +92,25 @@ class RuleMeta {
     return seg_total_[static_cast<size_t>(l)];
   }
 
+  // Call sites of rule l in the bodies of every rule but the start
+  // rule (whose calls a batch tracks itself, BatchUpdater); 0 for
+  // non-rules.
+  int32_t OuterRefs(LabelId l) const {
+    return outer_refs_[static_cast<size_t>(l)];
+  }
+
  private:
+  // Appends the label-level entries of labels [num_labels(), size).
+  void AppendLabels(const LabelTable& labels);
+  // Rule lhs's structural entries (body root, parameter nodes); a rule
+  // that had a parameter slot keeps it (a label's rank never changes).
+  void SetRule(LabelId lhs, const Tree& rhs);
+  // Rule a's parameter-segment sizes; its callees' must be final.
+  void ComputeSizes(LabelId a);
+  // Adds `delta` to OuterRefs of every call in t (calls per this
+  // snapshot's rule set).
+  void CountCalls(const Tree& t, int32_t delta);
+
   // All vectors below are indexed by LabelId (size = labels().size()).
   std::vector<int32_t> rank_;
   std::vector<int32_t> param_index_;
@@ -88,6 +121,8 @@ class RuleMeta {
   std::vector<int32_t> seg_offset_;    // into seg_sizes_; -1 non-rules
   std::vector<int64_t> seg_sizes_;     // Rank(l)+1 entries per rule
   std::vector<int64_t> seg_total_;
+  std::vector<int32_t> outer_refs_;
+  LabelId start_ = kNoLabel;
 };
 
 }  // namespace slg

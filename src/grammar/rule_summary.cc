@@ -13,10 +13,9 @@ namespace {
 
 // First-occurrence tables are only built for rules whose bodies stay
 // below this node count — every digram-sized rule TreeRePair mints
-// qualifies, while the start rule (whose table no descent ever
-// consults: descents begin there) and adversarial hand-written bodies
-// fall back to the plain descent. Bounds both the build recursion
-// depth and the walk cost.
+// qualifies, while adversarial hand-written bodies fall back to the
+// plain descent. Bounds both the build recursion depth and the walk
+// cost. (The start rule never gets one; see BuildRule.)
 constexpr size_t kFirstOccBodyCap = 4096;
 // Total first-occurrence entries across all rules; beyond this the
 // remaining rules simply go without tables.
@@ -45,16 +44,59 @@ std::vector<int64_t> ComputeStaticSizes(const Tree& t, const RuleMeta& meta) {
 
 RuleSummary RuleSummary::Build(const Grammar& g, const RuleMeta& meta) {
   RuleSummary s;
-  s.rules_.resize(static_cast<size_t>(meta.num_labels()));
+  s.views_.resize(static_cast<size_t>(meta.num_labels()));
+  s.entries_.resize(s.views_.size());
+  // Callees before callers: label filters, element totals and
+  // first-occurrence tables each need the callee's version.
+  for (LabelId r : AntiSlOrder(g)) {
+    const Tree& t = g.rhs(r);
+    s.BuildRule(r, t, meta, r == g.start(), ComputeStaticSizes(t, meta));
+  }
+  s.Finish(g, meta);
+  return s;
+}
 
-  // Pass 1, per rule body: static sizes (the shared helper) and
-  // parameter intervals, one bottom-up sweep each.
-  g.ForEachRule([&](LabelId lhs, const Tree& t) {
-    Body& b = s.rules_[static_cast<size_t>(lhs)];
-    b.static_size = ComputeStaticSizes(t, meta);
-    size_t n = b.static_size.size();
-    b.param_lo.assign(n, kNoParamBelow);
-    b.param_hi.assign(n, 0);
+RuleSummary RuleSummary::Derive(const RuleSummary& parent, const Grammar& g,
+                                const RuleMeta& meta,
+                                const std::vector<LabelId>& rebuilt,
+                                const std::vector<LabelId>& removed,
+                                std::vector<int64_t> start_sizes) {
+  RuleSummary s = parent;
+  s.views_.resize(static_cast<size_t>(meta.num_labels()));
+  s.entries_.resize(s.views_.size());
+  for (LabelId r : removed) s.DropRule(r);
+  for (LabelId r : rebuilt) {
+    s.DropRule(r);
+    const Tree& t = g.rhs(r);
+    bool is_start = r == g.start();
+    s.BuildRule(r, t, meta, is_start,
+                is_start && !start_sizes.empty()
+                    ? std::move(start_sizes)
+                    : ComputeStaticSizes(t, meta));
+  }
+  s.Finish(g, meta);
+  return s;
+}
+
+void RuleSummary::DropRule(LabelId r) {
+  std::shared_ptr<const Entry>& e = entries_[static_cast<size_t>(r)];
+  if (e == nullptr) return;
+  edges_ -= e->nodes - 1;
+  if (e->fo_exact) fo_total_ -= static_cast<int64_t>(e->fo_labels.size());
+  e.reset();
+  views_[static_cast<size_t>(r)] = View();
+}
+
+void RuleSummary::BuildRule(LabelId r, const Tree& t, const RuleMeta& meta,
+                            bool is_start, std::vector<int64_t> static_size) {
+  auto e = std::make_shared<Entry>();
+  e->static_size = std::move(static_size);
+  if (meta.Rank(r) > 0) {
+    // Parameter intervals, one bottom-up sweep (a rank-0 body has none
+    // anywhere and keeps no table).
+    size_t n = e->static_size.size();
+    e->param_lo.assign(n, kNoParamBelow);
+    e->param_hi.assign(n, 0);
     std::vector<NodeId> order = t.Preorder();
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       NodeId v = *it;
@@ -63,62 +105,76 @@ RuleSummary RuleSummary::Build(const Grammar& g, const RuleMeta& meta) {
       if (int pj = meta.ParamIndex(t.label(v)); pj > 0) lo = hi = pj;
       for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
         size_t ci = static_cast<size_t>(c);
-        lo = std::min(lo, b.param_lo[ci]);
-        hi = std::max(hi, b.param_hi[ci]);
+        lo = std::min(lo, e->param_lo[ci]);
+        hi = std::max(hi, e->param_hi[ci]);
       }
-      b.param_lo[static_cast<size_t>(v)] = lo;
-      b.param_hi[static_cast<size_t>(v)] = hi;
+      e->param_lo[static_cast<size_t>(v)] = lo;
+      e->param_hi[static_cast<size_t>(v)] = hi;
     }
-  });
-
-  // Pass 2, callees before callers: label filters, element totals,
-  // first-occurrence tables (each needs the callee's version).
-  std::vector<std::vector<int32_t>> fo_order(s.rules_.size());
-  int64_t fo_total = 0;
-  for (LabelId r : AntiSlOrder(g)) {
-    Body& b = s.rules_[static_cast<size_t>(r)];
-    const Tree& t = meta.Rhs(r);
-    b.material_size = b.static_size[static_cast<size_t>(meta.RhsRoot(r))];
-    int64_t elems = 0;
-    for (NodeId v : t.Preorder()) {
-      LabelId l = t.label(v);
-      if (meta.IsNonterminal(l)) {
-        const Body& cb = s.rules_[static_cast<size_t>(l)];
-        for (int i = 0; i < 4; ++i) b.filter[static_cast<size_t>(i)] |= cb.filter[static_cast<size_t>(i)];
-        elems = SizeSatAdd(elems, cb.material_elements);
-      } else if (meta.ParamIndex(l) == 0) {
-        uint32_t h = FilterHash(l);
-        b.filter[h >> 6] |= uint64_t{1} << (h & 63);
-        if (l != kNullLabel) elems = SizeSatAdd(elems, 1);
-      }
-    }
-    b.material_elements = elems;
-    BuildFirstOcc(r, t, meta, s.rules_, fo_order, &fo_total);
   }
 
+  e->material_size = e->static_size[static_cast<size_t>(t.root())];
+  int64_t elems = 0;
+  int64_t nodes = 0;
+  if (is_start) e->calls.assign(static_cast<size_t>(meta.num_labels()), 0);
+  t.VisitPreorder(t.root(), [&](NodeId v) {
+    ++nodes;
+    LabelId l = t.label(v);
+    if (meta.IsNonterminal(l)) {
+      if (is_start) ++e->calls[static_cast<size_t>(l)];
+      const Entry& ce = *entries_[static_cast<size_t>(l)];
+      for (size_t i = 0; i < 4; ++i) e->filter[i] |= ce.filter[i];
+      elems = SizeSatAdd(elems, ce.material_elements);
+    } else if (meta.ParamIndex(l) == 0) {
+      uint32_t h = FilterHash(l);
+      e->filter[h >> 6] |= uint64_t{1} << (h & 63);
+      if (l != kNullLabel) elems = SizeSatAdd(elems, 1);
+    }
+  });
+  e->material_elements = elems;
+  e->nodes = nodes;
+  // No descent consults the start rule's table: descents begin there.
+  if (!is_start) BuildFirstOcc(r, t, meta, *e);
+
+  edges_ += e->nodes - 1;
+  if (e->fo_exact) fo_total_ += static_cast<int64_t>(e->fo_labels.size());
+  View v;
+  v.static_size = e->static_size.data();
+  v.param_lo = e->param_lo.empty() ? nullptr : e->param_lo.data();
+  v.param_hi = e->param_hi.empty() ? nullptr : e->param_hi.data();
+  v.filter = e->filter;
+  v.material_size = e->material_size;
+  v.material_elements = e->material_elements;
+  if (e->fo_exact) {
+    v.fo_labels = e->fo_labels.data();
+    v.fo_offsets = e->fo_offsets.data();
+    v.fo_params = e->fo_params.data();
+    v.fo_count = e->fo_labels.size();
+  }
+  views_[static_cast<size_t>(r)] = v;
+  entries_[static_cast<size_t>(r)] = std::move(e);
+}
+
+void RuleSummary::Finish(const Grammar& g, const RuleMeta& meta) {
   LabelId start = g.start();
-  const Body& sb = s.rules_[static_cast<size_t>(start)];
-  s.derived_size_ = sb.static_size[static_cast<size_t>(meta.RhsRoot(start))];
-  s.derived_elements_ = sb.material_elements;
-  return s;
+  derived_size_ = StaticSize(start, meta.RhsRoot(start));
+  derived_elements_ = MaterialElements(start);
 }
 
 void RuleSummary::BuildFirstOcc(LabelId r, const Tree& t, const RuleMeta& meta,
-                                std::vector<Body>& rules,
-                                std::vector<std::vector<int32_t>>& fo_order,
-                                int64_t* fo_total) {
-  Body& b = rules[static_cast<size_t>(r)];
-  std::vector<NodeId> order = t.Preorder();
-  if (order.size() > kFirstOccBodyCap) return;
-  if (*fo_total >= kFirstOccTotalCap) return;
+                                Entry& b) {
+  if (b.nodes > static_cast<int64_t>(kFirstOccBodyCap)) return;
+  if (fo_total_ >= kFirstOccTotalCap) return;
   // Merging a callee's table requires it to be exact — a missing
   // callee table could hide an earlier occurrence.
-  for (NodeId v : order) {
+  bool callees_exact = true;
+  t.VisitPreorder(t.root(), [&](NodeId v) {
     LabelId l = t.label(v);
-    if (meta.IsNonterminal(l) && !rules[static_cast<size_t>(l)].fo_exact) {
-      return;
+    if (meta.IsNonterminal(l) && !entries_[static_cast<size_t>(l)]->fo_exact) {
+      callees_exact = false;
     }
-  }
+  });
+  if (!callees_exact) return;
 
   // Walk the body in *derived* order, tracking for every node its
   // static offset (material nodes before it, arguments of nested calls
@@ -162,8 +218,8 @@ void RuleSummary::BuildFirstOcc(LabelId r, const Tree& t, const RuleMeta& meta,
       // parameters before it sits at base + d + (sizes of the first p
       // arguments); argument h+1 starts after the callee's first h+1
       // segments and the first h arguments.
-      const Body& cb = rules[static_cast<size_t>(l)];
-      const std::vector<int32_t>& corder = fo_order[static_cast<size_t>(l)];
+      const Entry& cb = *entries_[static_cast<size_t>(l)];
+      const std::vector<int32_t>& corder = cb.fo_order;
       int m = meta.Rank(l);
       std::vector<NodeId> args;
       std::vector<int64_t> asp(static_cast<size_t>(m) + 1, 0);
@@ -219,7 +275,7 @@ void RuleSummary::BuildFirstOcc(LabelId r, const Tree& t, const RuleMeta& meta,
   b.fo_labels.resize(n);
   b.fo_offsets.resize(n);
   b.fo_params.resize(n);
-  std::vector<int32_t>& ord = fo_order[static_cast<size_t>(r)];
+  std::vector<int32_t>& ord = b.fo_order;
   ord.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const Rec& rec = recs[static_cast<size_t>(perm[i])];
@@ -229,19 +285,19 @@ void RuleSummary::BuildFirstOcc(LabelId r, const Tree& t, const RuleMeta& meta,
     ord[static_cast<size_t>(perm[i])] = static_cast<int32_t>(i);
   }
   b.fo_exact = true;
-  *fo_total += static_cast<int64_t>(n);
 }
 
 std::optional<RuleSummary::FirstOcc> RuleSummary::FirstOccurrence(
     LabelId rule, LabelId label) const {
-  if (rule < 0 || static_cast<size_t>(rule) >= rules_.size()) {
+  if (rule < 0 || static_cast<size_t>(rule) >= views_.size()) {
     return std::nullopt;
   }
-  const Body& b = rules_[static_cast<size_t>(rule)];
-  if (!b.fo_exact) return std::nullopt;
-  auto it = std::lower_bound(b.fo_labels.begin(), b.fo_labels.end(), label);
-  if (it == b.fo_labels.end() || *it != label) return std::nullopt;
-  size_t i = static_cast<size_t>(it - b.fo_labels.begin());
+  const View& b = views_[static_cast<size_t>(rule)];
+  if (b.fo_labels == nullptr) return std::nullopt;
+  const LabelId* end = b.fo_labels + b.fo_count;
+  const LabelId* it = std::lower_bound(b.fo_labels, end, label);
+  if (it == end || *it != label) return std::nullopt;
+  size_t i = static_cast<size_t>(it - b.fo_labels);
   return FirstOcc{b.fo_offsets[i], b.fo_params[i]};
 }
 

@@ -32,11 +32,15 @@ void ApplyAliases(Grammar* g,
                   const std::unordered_map<LabelId, LabelId>& alias) {
   for (LabelId r : g->Nonterminals()) {
     if (alias.count(r) != 0) continue;  // about to be removed
-    Tree& rhs = g->rhs(r);
+    std::vector<std::pair<NodeId, LabelId>> relabel;
+    const Tree& rhs = g->rhs(r);
     rhs.VisitPreorder(rhs.root(), [&](NodeId v) {
       auto it = alias.find(rhs.label(v));
-      if (it != alias.end()) rhs.set_label(v, it->second);
+      if (it != alias.end()) relabel.emplace_back(v, it->second);
     });
+    if (relabel.empty()) continue;  // a body without aliases stays shared
+    Tree& edit = g->mutable_rhs(r);
+    for (const auto& [v, kept] : relabel) edit.set_label(v, kept);
   }
   for (const auto& [dup, kept] : alias) {
     (void)kept;

@@ -52,7 +52,7 @@ void TopLevelRepair(Grammar* g, const RepairOptions& shard_repair) {
     if (r == tg.start()) continue;
     g->AddRule(r, Tree(tg.rhs(r)));
   }
-  g->rhs(s) = Tree(tg.rhs(tg.start()));
+  g->set_rhs(s, Tree(tg.rhs(tg.start())));
   Prune(g);
 }
 

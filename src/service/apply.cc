@@ -1,0 +1,61 @@
+#include "src/service/apply.h"
+
+#include <utility>
+
+#include "src/store/journal.h"
+#include "src/update/batch.h"
+#include "src/xml/binary_encoding.h"
+#include "src/xml/xml_parser.h"
+
+namespace slg {
+
+StatusOr<std::shared_ptr<const GrammarSnapshot>> ApplyEncodedBatch(
+    const GrammarSnapshot& parent, std::string_view encoded, int64_t version,
+    BatchEffects* effects) {
+  Grammar g = parent.grammar().Clone();
+  std::vector<UpdateOp> ops;
+  SLG_RETURN_IF_ERROR(DecodeBatch(encoded, &g.labels(), &ops));
+  BatchUpdater bu(&g, *parent.meta(),
+                  parent.summary()->StaticSizes(g.start()),
+                  parent.summary()->StartCalls(g.start()));
+  for (const UpdateOp& op : ops) SLG_RETURN_IF_ERROR(bu.Apply(op));
+  effects->damage = bu.DamagedRules();
+  effects->edges_added = bu.EdgesAdded();
+  effects->ops = static_cast<int64_t>(ops.size());
+  std::vector<int64_t> start_sizes = bu.TakeStartSizes();
+  bu.Finish();
+  return GrammarSnapshot::Derive(parent, std::move(g), version,
+                                 std::move(start_sizes));
+}
+
+std::string EncodeRename(int64_t preorder, std::string_view new_tag) {
+  LabelTable names;
+  std::vector<UpdateOp> ops(1);
+  ops[0].kind = UpdateOp::Kind::kRename;
+  ops[0].preorder = preorder;
+  // A fresh table already spells ⊥; the apply step rejects renaming to it.
+  LabelId id = names.Find(new_tag);
+  ops[0].label = id != kNoLabel ? id : names.Intern(new_tag, 2);
+  return EncodeBatch(ops, names);
+}
+
+StatusOr<std::string> EncodeInsertXml(int64_t preorder,
+                                      std::string_view xml_fragment) {
+  StatusOr<XmlTree> parsed = ParseXml(xml_fragment);
+  if (!parsed.ok()) return parsed.status();
+  LabelTable names;
+  std::vector<UpdateOp> ops(1);
+  ops[0].kind = UpdateOp::Kind::kInsert;
+  ops[0].preorder = preorder;
+  ops[0].fragment = EncodeBinary(parsed.value(), &names);
+  return EncodeBatch(ops, names);
+}
+
+std::string EncodeDelete(int64_t preorder) {
+  std::vector<UpdateOp> ops(1);
+  ops[0].kind = UpdateOp::Kind::kDelete;
+  ops[0].preorder = preorder;
+  return EncodeBatch(ops, LabelTable());
+}
+
+}  // namespace slg

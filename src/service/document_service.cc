@@ -6,13 +6,11 @@
 
 #include "src/common/check.h"
 #include "src/common/timer.h"
+#include "src/core/grammar_repair.h"
 #include "src/grammar/validate.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/store/snapshot.h"
-#include "src/update/batch.h"
-#include "src/xml/binary_encoding.h"
-#include "src/xml/xml_parser.h"
 
 namespace slg {
 
@@ -68,11 +66,15 @@ Status CheckLabelIds(const std::vector<UpdateOp>& ops,
   return Status::Ok();
 }
 
-// The merge: a pure function of (grammar, damage, options), run by the
-// merge thread and re-run by recovery to rebuild a snapshot that never
-// became durable.
-GrammarRepairResult Merge(Grammar g, const std::vector<LabelId>& damage,
+// The merge: a pure function of (document, damage, options), run by
+// the merge thread and re-run by recovery to rebuild a snapshot that
+// never became durable. It repairs a clone, whose untouched rules keep
+// sharing their bodies — and, through GrammarSnapshot::Derive, their
+// index entries — with `in`.
+GrammarRepairResult Merge(const GrammarSnapshot& in,
+                          const std::vector<LabelId>& damage,
                           const UpdateOptions& update) {
+  Grammar g = in.grammar().Clone();
   return update.localized
              ? LocalizedGrammarRePair(std::move(g), damage, update.repair)
              : GrammarRePair(std::move(g), update.repair);
@@ -121,7 +123,7 @@ StatusOr<std::unique_ptr<DocumentService>> DocumentService::Open(
   }
   static obs::Counter& replayed = obs::MetricsRegistry::Global().GetCounter(
       "store.journal.replayed_batches");
-  Grammar g;
+  std::shared_ptr<const GrammarSnapshot> snap;
   std::vector<PendingBatch> pending;
   std::optional<DocumentStore> store;
   {
@@ -129,7 +131,8 @@ StatusOr<std::unique_ptr<DocumentService>> DocumentService::Open(
     StatusOr<RecoveryChain> read = ReadRecoveryChain(options.durable_dir);
     if (!read.ok()) return read.status();
     RecoveryChain chain = read.take();
-    g = std::move(chain.base);
+    SLG_RETURN_IF_ERROR(Validate(chain.base));
+    snap = GrammarSnapshot::Make(std::move(chain.base));
     int64_t gen = chain.generation;
     for (const JournalReplay& journal : chain.journals) {
       // A sealed journal's batches after its folded prefix reappear at
@@ -138,36 +141,39 @@ StatusOr<std::unique_ptr<DocumentService>> DocumentService::Open(
                            ? static_cast<size_t>(journal.folded)
                            : journal.batches.size();
       for (size_t i = 0; i < n; ++i) {
-        PendingBatch pb{journal.batches[i], {}, 0, 0};
-        Status applied = ApplyEncoded(&g, &pb);
-        if (!applied.ok()) {
+        PendingBatch pb{journal.batches[i], {}};
+        StatusOr<std::shared_ptr<const GrammarSnapshot>> next =
+            ApplyEncodedBatch(*snap, pb.encoded,
+                              static_cast<int64_t>(pending.size()) + 1,
+                              &pb.effects);
+        if (!next.ok()) {
           // CRC-valid but unreplayable: the corruption beat the
           // checksum, and there is no later state to fall back to.
           return Status::DataLoss(JournalFileName(gen) +
                                   " holds an unreplayable committed batch: " +
-                                  applied.message());
+                                  next.status().message());
         }
+        snap = next.take();
         replayed.Increment();
         pending.push_back(std::move(pb));
       }
       if (!journal.ends_with_checkpoint) break;
       // The snapshot this seal names is corrupt or was never published:
       // re-run the merge that built it, and heal it.
-      g = Merge(std::move(g), DamageUnion(pending), options.update).grammar;
+      Grammar merged =
+          Merge(*snap, DamageUnion(pending), options.update).grammar;
       pending.clear();
       ++gen;
-      SLG_RETURN_IF_ERROR(WriteSnapshot(options.durable_dir, gen, g,
+      SLG_RETURN_IF_ERROR(WriteSnapshot(options.durable_dir, gen, merged,
                                         options.fault_injector));
+      snap = GrammarSnapshot::Derive(*snap, std::move(merged), 0);
     }
-    SLG_RETURN_IF_ERROR(Validate(g));
     StatusOr<DocumentStore> resumed =
         DocumentStore::Resume(options.durable_dir, chain, options.journal,
                               options.fault_injector);
     if (!resumed.ok()) return resumed.status();
     store.emplace(resumed.take());
   }
-  auto snap = GrammarSnapshot::Make(std::move(g),
-                                    static_cast<int64_t>(pending.size()));
   return std::unique_ptr<DocumentService>(new DocumentService(
       options, std::move(snap), std::move(store), std::move(pending)));
 }
@@ -185,8 +191,8 @@ DocumentService::DocumentService(ServiceOptions options,
     ns->overlay = initial;
     ns->overlay_batches = static_cast<int64_t>(pending_.size());
     for (const PendingBatch& pb : pending_) {
-      ns->overlay_edges += pb.edges_added;
-      overlay_ops_ += pb.ops;
+      ns->overlay_edges += pb.effects.edges_added;
+      overlay_ops_ += pb.effects.ops;
     }
     acked_batches_ = ns->overlay_batches;
     acked_ops_ = overlay_ops_;
@@ -218,24 +224,12 @@ DocumentService::Reader DocumentService::OpenReader() const {
 
 // --- writes ----------------------------------------------------------------
 
-Status DocumentService::ApplyEncoded(Grammar* g, PendingBatch* pb) {
-  std::vector<UpdateOp> ops;
-  SLG_RETURN_IF_ERROR(DecodeBatch(pb->encoded, &g->labels(), &ops));
-  BatchUpdater bu(g);
-  for (const UpdateOp& op : ops) SLG_RETURN_IF_ERROR(bu.Apply(op));
-  pb->damage = bu.DamagedRules();
-  pb->edges_added = bu.EdgesAdded();
-  pb->ops = static_cast<int64_t>(ops.size());
-  bu.Finish();
-  return Status::Ok();
-}
-
 std::vector<LabelId> DocumentService::DamageUnion(
     const std::vector<PendingBatch>& batches) {
   std::vector<LabelId> damage;
   std::unordered_set<LabelId> seen;
   for (const PendingBatch& pb : batches) {
-    for (LabelId r : pb.damage) {
+    for (LabelId r : pb.effects.damage) {
       if (seen.insert(r).second) damage.push_back(r);
     }
   }
@@ -243,86 +237,66 @@ std::vector<LabelId> DocumentService::DamageUnion(
 }
 
 Status DocumentService::Writer::Apply(const std::vector<UpdateOp>& ops) {
-  return Apply(ops, nullptr);
+  if (ops.empty()) return Status::Ok();
+  std::lock_guard<std::mutex> lk(service_->mu_);
+  const LabelTable& names =
+      service_->state_->effective().grammar().labels();
+  SLG_RETURN_IF_ERROR(CheckLabelIds(ops, names));
+  return service_->WriteLocked(EncodeBatch(ops, names));
 }
 
-Status DocumentService::Writer::Apply(const std::vector<UpdateOp>& ops,
-                                      const LabelTable* names) {
-  if (ops.empty()) return Status::Ok();
-  obs::TraceSpan span("service.write");
-  Timer timer;
-  DocumentService* s = service_;
-  std::unique_lock<std::mutex> lk(s->mu_);
-  const Grammar& current = s->state_->effective().grammar();
-  if (names == nullptr) {
-    names = &current.labels();
-    SLG_RETURN_IF_ERROR(CheckLabelIds(ops, *names));
-  }
-  PendingBatch pb{EncodeBatch(ops, *names), {}, 0, 0};
-  // Failure before publication drops the clone: the service state and
-  // the durable store are untouched — batch atomicity.
-  Grammar next = current.Clone();
-  SLG_RETURN_IF_ERROR(ApplyEncoded(&next, &pb));
-  SLG_RETURN_IF_ERROR(s->CommitLocked(std::move(next), std::move(pb)));
-  ServiceMetrics::Get().write_us.Record(
-      static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
-  return Status::Ok();
+Status DocumentService::Writer::ApplyEncoded(std::string encoded) {
+  std::lock_guard<std::mutex> lk(service_->mu_);
+  return service_->WriteLocked(std::move(encoded));
 }
 
 Status DocumentService::Writer::Rename(int64_t preorder,
                                        std::string_view new_tag) {
-  LabelTable names;
-  std::vector<UpdateOp> ops(1);
-  ops[0].kind = UpdateOp::Kind::kRename;
-  ops[0].preorder = preorder;
-  // A fresh table already spells ⊥; the apply step rejects renaming to it.
-  LabelId id = names.Find(new_tag);
-  ops[0].label = id != kNoLabel ? id : names.Intern(new_tag, 2);
-  return Apply(ops, &names);
+  return ApplyEncoded(EncodeRename(preorder, new_tag));
 }
 
 Status DocumentService::Writer::InsertXmlBefore(int64_t preorder,
                                                 std::string_view xml_fragment) {
-  StatusOr<XmlTree> parsed = ParseXml(xml_fragment);
-  if (!parsed.ok()) return parsed.status();
-  LabelTable names;
-  std::vector<UpdateOp> ops(1);
-  ops[0].kind = UpdateOp::Kind::kInsert;
-  ops[0].preorder = preorder;
-  ops[0].fragment = EncodeBinary(parsed.value(), &names);
-  return Apply(ops, &names);
+  StatusOr<std::string> encoded = EncodeInsertXml(preorder, xml_fragment);
+  if (!encoded.ok()) return encoded.status();
+  return ApplyEncoded(encoded.take());
 }
 
 Status DocumentService::Writer::Delete(int64_t preorder) {
-  std::vector<UpdateOp> ops(1);
-  ops[0].kind = UpdateOp::Kind::kDelete;
-  ops[0].preorder = preorder;
-  return Apply(ops);
+  return ApplyEncoded(EncodeDelete(preorder));
 }
 
-Status DocumentService::CommitLocked(Grammar next, PendingBatch pb) {
+Status DocumentService::WriteLocked(std::string encoded) {
+  obs::TraceSpan span("service.write");
+  Timer timer;
+  PendingBatch pb{std::move(encoded), {}};
+  // Failure before publication drops the child: the service state and
+  // the durable store are untouched — batch atomicity.
+  StatusOr<std::shared_ptr<const GrammarSnapshot>> next = ApplyEncodedBatch(
+      state_->effective(), pb.encoded, acked_batches_ + 1, &pb.effects);
+  if (!next.ok()) return next.status();
   // Journal first, acknowledge second: a batch whose Apply returned Ok
   // is durable per the fsync policy before any reader can see it. A
   // journal failure publishes nothing (the store poisons itself; the
   // served state stays at the last acknowledged version).
   if (store_) SLG_RETURN_IF_ERROR(store_->Append(pb.encoded));
-  auto snap = GrammarSnapshot::Make(std::move(next), acked_batches_ + 1);
   auto ns = std::make_shared<ServiceState>();
   ns->base = state_->base;
-  ns->overlay = std::move(snap);
+  ns->overlay = next.take();
   ns->overlay_batches = state_->overlay_batches + 1;
-  ns->overlay_edges = state_->overlay_edges + pb.edges_added;
+  ns->overlay_edges = state_->overlay_edges + pb.effects.edges_added;
   ++acked_batches_;
-  acked_ops_ += pb.ops;
-  overlay_ops_ += pb.ops;
+  acked_ops_ += pb.effects.ops;
+  overlay_ops_ += pb.effects.ops;
   ServiceMetrics& m = ServiceMetrics::Get();
   m.batches.Increment();
-  m.ops.Add(pb.ops);
+  m.ops.Add(pb.effects.ops);
   m.overlay_edges.Set(ns->overlay_edges);
   m.overlay_batches.Set(ns->overlay_batches);
   pending_.push_back(std::move(pb));
   std::atomic_store(&state_, std::shared_ptr<const ServiceState>(std::move(ns)));
   if (MergeNeededLocked()) cv_.notify_all();
+  m.write_us.Record(static_cast<int64_t>(timer.ElapsedSeconds() * 1e6));
   return Status::Ok();
 }
 
@@ -374,16 +348,15 @@ void DocumentService::MergeOnce(std::unique_lock<std::mutex>& lk) {
   GrammarRepairResult merged;
   {
     obs::TraceSpan span("service.merge");
-    merged = Merge(in_state->effective().grammar().Clone(), damage,
-                   options_.update);
+    merged = Merge(in_state->effective(), damage, options_.update);
   }
   int64_t elapsed_us = static_cast<int64_t>(timer.ElapsedSeconds() * 1e6);
 
-  // Snapshot construction builds every read index — the with-sizes
-  // RuleMeta and the shared RuleSummary (label filters,
-  // first-occurrence tables) — so it runs here, off the lock.
-  std::shared_ptr<const GrammarSnapshot> base_snap =
-      GrammarSnapshot::Make(std::move(merged.grammar), v);
+  // Snapshot construction builds the read indexes of every rule the
+  // repair rewrote (the rest keep their parent's entries), so it runs
+  // here, off the lock.
+  std::shared_ptr<const GrammarSnapshot> base_snap = GrammarSnapshot::Derive(
+      in_state->effective(), std::move(merged.grammar), v);
 
   lk.lock();
   ++merges_;
@@ -416,15 +389,17 @@ void DocumentService::MergeOnce(std::unique_lock<std::mutex>& lk) {
   ns->base = std::move(base_snap);
   overlay_ops_ = 0;
   if (!pending_.empty()) {
-    Grammar mat = ns->base->grammar().Clone();
+    std::shared_ptr<const GrammarSnapshot> mat = ns->base;
+    int64_t version = v;
     for (PendingBatch& pb : pending_) {
-      Status st = ApplyEncoded(&mat, &pb);
-      SLG_CHECK_MSG(st.ok(), "acknowledged batch must replay");
-      ns->overlay_edges += pb.edges_added;
-      overlay_ops_ += pb.ops;
+      StatusOr<std::shared_ptr<const GrammarSnapshot>> next =
+          ApplyEncodedBatch(*mat, pb.encoded, ++version, &pb.effects);
+      SLG_CHECK_MSG(next.ok(), "acknowledged batch must replay");
+      mat = next.take();
+      ns->overlay_edges += pb.effects.edges_added;
+      overlay_ops_ += pb.effects.ops;
     }
-    ns->overlay = GrammarSnapshot::Make(
-        std::move(mat), v + static_cast<int64_t>(pending_.size()));
+    ns->overlay = std::move(mat);
     ns->overlay_batches = static_cast<int64_t>(pending_.size());
   }
   m.overlay_edges.Set(ns->overlay_edges);

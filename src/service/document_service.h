@@ -10,12 +10,13 @@
 //     during writes and merges alike;
 //   * writers — OpenWriter() hands out a handle whose batch
 //     application runs under one writer mutex: encode the batch
-//     (EncodeBatch, label names), clone the effective grammar, apply
-//     the decoded batch (BatchUpdater), journal the same bytes (in
-//     durable mode — journal-then-ack), then publish the result as
-//     the new overlay with one atomic shared_ptr swap. A failed batch
-//     publishes nothing: batches are atomic, the document is
-//     unchanged;
+//     (EncodeBatch, label names), apply it to the effective snapshot
+//     (ApplyEncodedBatch: a copy-on-write clone, one seeded
+//     BatchUpdater, a child snapshot derived from its parent), journal
+//     the same bytes (in durable mode — journal-then-ack), then
+//     publish the child as the new overlay with one atomic shared_ptr
+//     swap. A failed batch publishes nothing: batches are atomic, the
+//     document is unchanged;
 //   * a background merge thread — when the overlay's gross added
 //     edges exceed UpdateOptions::growth_trigger of the base (with
 //     the min_checkpoint_ops floor), or on Flush(), it recompresses
@@ -29,11 +30,12 @@
 //     alive via shared_ptr reference counting — the RCU reclamation
 //     argument in docs/SERVICE.md.
 //
-// One decode-then-BatchUpdater function applies every batch — on the
-// write path, in the merge splice and in recovery — and one merge
-// function folds them, on the merge thread and in recovery. That is
-// why a document recovered by Open() is byte-identical to the one
-// that was served, and why its next merge is too.
+// One function applies every batch (ApplyEncodedBatch,
+// src/service/apply.h) — on the write path, in the merge splice and in
+// recovery — and one merge function folds them, on the merge thread
+// and in recovery. That is why a document recovered by Open() is
+// byte-identical to the one that was served, and why its next merge
+// is too.
 //
 // Surfaces: CompressedXmlTree is a single-threaded facade over the
 // same GrammarSnapshot type (FromSnapshot / CompressedXmlTree::
@@ -56,6 +58,7 @@
 
 #include "src/api/options.h"
 #include "src/common/status.h"
+#include "src/service/apply.h"
 #include "src/service/overlay_view.h"
 #include "src/service/snapshot.h"
 #include "src/store/document_store.h"
@@ -110,11 +113,9 @@ class DocumentService {
    private:
     friend class DocumentService;
     explicit Writer(DocumentService* service) : service_(service) {}
-    // Apply with the ops' label ids taken from `names`, or from the
-    // served table when null (then checked against it first). The
-    // conveniences encode against a scratch table, since the batch
-    // carries names and a new tag need not be in the document yet.
-    Status Apply(const std::vector<UpdateOp>& ops, const LabelTable* names);
+    // Applies an encoded batch (the conveniences' payloads carry label
+    // names, so a new tag need not be in the document yet).
+    Status ApplyEncoded(std::string encoded);
     DocumentService* service_;
   };
 
@@ -183,9 +184,7 @@ class DocumentService {
  private:
   struct PendingBatch {
     std::string encoded;  // journal-codec payload (EncodeBatch)
-    std::vector<LabelId> damage;
-    int64_t edges_added = 0;
-    int64_t ops = 0;
+    BatchEffects effects;
   };
 
   // `initial` already holds the `pending` batches (a recovered
@@ -195,18 +194,14 @@ class DocumentService {
                   std::optional<DocumentStore> store,
                   std::vector<PendingBatch> pending = {});
 
-  // Decodes pb->encoded against g's label table and applies it as one
-  // BatchUpdater batch, recording its damage, edges and op count in
-  // *pb. The one apply path of writes, the merge splice and recovery,
-  // so all three intern labels in the same order.
-  static Status ApplyEncoded(Grammar* g, PendingBatch* pb);
   // The union of the batches' damage sets, in first-seen order.
   static std::vector<LabelId> DamageUnion(
       const std::vector<PendingBatch>& batches);
 
-  // Journals pb (durable mode), publishes `next` as the new overlay and
-  // wakes the merge thread. Called with mu_ held.
-  Status CommitLocked(Grammar next, PendingBatch pb);
+  // Applies `encoded` to the effective snapshot, journals it (durable
+  // mode), publishes the result as the new overlay and wakes the merge
+  // thread. Called with mu_ held.
+  Status WriteLocked(std::string encoded);
 
   bool MergeNeededLocked() const;
   void MergeLoop();

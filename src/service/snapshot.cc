@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "src/grammar/stats.h"
+#include "src/grammar/orders.h"
 #include "src/grammar/value.h"
 #include "src/pipeline/sharded_compressor.h"
 #include "src/pipeline/thread_pool.h"
@@ -12,21 +12,84 @@
 
 namespace slg {
 
-GrammarSnapshot::GrammarSnapshot(Grammar g, int64_t version)
+namespace {
+
+// What a child grammar cannot take from its parent's indexes.
+struct RuleDelta {
+  std::vector<LabelId> rebuilt;  // callees first
+  std::vector<LabelId> removed;  // parent's rules the child dropped
+};
+
+RuleDelta DiffRules(const Grammar& parent, const Grammar& child) {
+  RuleDelta d;
+  parent.ForEachRule([&](LabelId r, const Tree&) {
+    if (!child.HasRule(r)) d.removed.push_back(r);
+  });
+  std::vector<LabelId> changed;
+  child.ForEachRule([&](LabelId r, const Tree& body) {
+    if (!parent.HasRule(r) || &parent.rhs(r) != &body) changed.push_back(r);
+  });
+  const LabelId start = child.start();
+  if (start == parent.start() &&
+      (changed.empty() || (changed.size() == 1 && changed[0] == start))) {
+    // A batch: only the start rule was edited, and no rule calls it.
+    // (The rules it dropped were unreferenced — garbage collection
+    // removes nothing else.)
+    d.rebuilt = std::move(changed);
+    return d;
+  }
+  // In general a rule is rebuilt when its body changed or it calls a
+  // rebuilt or dropped rule; anti-SL order settles callees first.
+  std::vector<char> dirty(static_cast<size_t>(child.labels().size()), 0);
+  for (LabelId r : changed) dirty[static_cast<size_t>(r)] = 1;
+  for (LabelId r : d.removed) dirty[static_cast<size_t>(r)] = 1;
+  for (LabelId r : AntiSlOrder(child)) {
+    char& dr = dirty[static_cast<size_t>(r)];
+    if (!dr) {
+      const Tree& t = child.rhs(r);
+      t.VisitPreorder(t.root(), [&](NodeId v) {
+        dr = dr || dirty[static_cast<size_t>(t.label(v))];
+      });
+    }
+    if (dr) d.rebuilt.push_back(r);
+  }
+  return d;
+}
+
+}  // namespace
+
+GrammarSnapshot::GrammarSnapshot(Grammar g,
+                                 std::shared_ptr<const RuleMeta> meta,
+                                 std::shared_ptr<const RuleSummary> summary,
+                                 int64_t version)
     : g_(std::move(g)),
-      meta_(std::make_shared<const RuleMeta>(
-          RuleMeta::Build(g_, /*with_sizes=*/true))),
-      summary_(std::make_shared<const RuleSummary>(
-          RuleSummary::Build(g_, *meta_))),
+      meta_(std::move(meta)),
+      summary_(std::move(summary)),
       nav_(&g_, meta_.get(), summary_.get()),
       version_(version),
-      edges_(ComputeStats(g_).edge_count),
+      edges_(summary_->EdgeCount()),
       element_count_(summary_->DerivedElementCount()) {}
 
 std::shared_ptr<const GrammarSnapshot> GrammarSnapshot::Make(Grammar g,
                                                              int64_t version) {
-  return std::shared_ptr<const GrammarSnapshot>(
-      new GrammarSnapshot(std::move(g), version));
+  auto meta =
+      std::make_shared<const RuleMeta>(RuleMeta::Build(g, /*with_sizes=*/true));
+  auto summary = std::make_shared<const RuleSummary>(RuleSummary::Build(g, *meta));
+  return std::shared_ptr<const GrammarSnapshot>(new GrammarSnapshot(
+      std::move(g), std::move(meta), std::move(summary), version));
+}
+
+std::shared_ptr<const GrammarSnapshot> GrammarSnapshot::Derive(
+    const GrammarSnapshot& parent, Grammar g, int64_t version,
+    std::vector<int64_t> start_sizes) {
+  RuleDelta d = DiffRules(parent.g_, g);
+  auto meta = std::make_shared<const RuleMeta>(RuleMeta::Derive(
+      *parent.meta_, g, d.rebuilt, d.removed, start_sizes));
+  auto summary = std::make_shared<const RuleSummary>(
+      RuleSummary::Derive(*parent.summary_, g, *meta, d.rebuilt, d.removed,
+                          std::move(start_sizes)));
+  return std::shared_ptr<const GrammarSnapshot>(new GrammarSnapshot(
+      std::move(g), std::move(meta), std::move(summary), version));
 }
 
 StatusOr<std::string> GrammarSnapshot::LabelAt(int64_t preorder) const {

@@ -5,10 +5,17 @@
 // invariant: a GrammarSnapshot never changes after construction. It
 // bundles a Grammar with everything reads need — a with-sizes RuleMeta
 // (cursor navigation), a SnapshotNav (derived-position queries) and
-// cached document statistics — all built eagerly inside Make() before
-// the shared_ptr ever escapes, so no reader can observe a
-// half-initialized index and no query path touches mutable state.
+// cached document statistics — all built eagerly inside Make() or
+// Derive() before the shared_ptr ever escapes, so no reader can
+// observe a half-initialized index and no query path touches mutable
+// state.
 // Any number of threads may call the const query methods concurrently.
+//
+// A snapshot is built from scratch (Make: ingest, a loaded grammar) or
+// derived from its parent (Derive: every applied batch and merge). The
+// child's grammar is a Clone() of the parent's, so it shares every
+// rule body the edit did not touch, and its indexes share those rules'
+// entries: a write costs O(start rule + labels), not O(|G|).
 //
 // Lifetime is plain shared_ptr reference counting: a reader that
 // copied the pointer keeps its version alive for as long as it cares
@@ -28,6 +35,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/api/options.h"
 #include "src/common/status.h"
@@ -48,6 +56,16 @@ class GrammarSnapshot {
   // the count of acknowledged batches the snapshot reflects.
   static std::shared_ptr<const GrammarSnapshot> Make(Grammar g,
                                                      int64_t version = 0);
+
+  // The snapshot of g, a Clone() of parent.grammar() that was edited
+  // since, built from parent's indexes: rules whose bodies g still
+  // shares with parent (and whose callees kept theirs) keep their
+  // entries; only the others are rebuilt. Equal to Make(g, version) in
+  // every answer. `start_sizes`, when non-empty, are the static sizes
+  // of g's start rule by NodeId (BatchUpdater::TakeStartSizes).
+  static std::shared_ptr<const GrammarSnapshot> Derive(
+      const GrammarSnapshot& parent, Grammar g, int64_t version,
+      std::vector<int64_t> start_sizes = {});
 
   // The indexes hold pointers into the owned grammar: the object is
   // pinned — heap-allocate via Make and share the pointer.
@@ -95,7 +113,11 @@ class GrammarSnapshot {
   GrammarCursor Cursor() const;
 
  private:
-  GrammarSnapshot(Grammar g, int64_t version);
+  // The indexes must be snapshots of g (they point at its rule bodies,
+  // which stay put when the grammar object moves).
+  GrammarSnapshot(Grammar g, std::shared_ptr<const RuleMeta> meta,
+                  std::shared_ptr<const RuleSummary> summary,
+                  int64_t version);
 
   Grammar g_;
   std::shared_ptr<const RuleMeta> meta_;  // with_sizes, built over g_

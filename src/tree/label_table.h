@@ -37,6 +37,8 @@ class LabelTable {
 
   LabelTable(const LabelTable&) = default;
   LabelTable& operator=(const LabelTable&) = default;
+  LabelTable(LabelTable&&) = default;
+  LabelTable& operator=(LabelTable&&) = default;
 
   // Interns `name` with the given rank. If the name already exists its
   // rank must match (checked).

@@ -15,7 +15,10 @@ namespace slg {
 void BatchUpdater::EnsureSnapshot() {
   if (!have_snapshot_) {
     meta_ = RuleMeta::Build(*g_, /*with_sizes=*/true);
-    derived_ = DerivedSubtreeSizes(g_->rhs(g_->start()), meta_);
+    const Tree& t = g_->rhs(g_->start());
+    derived_ = DerivedSubtreeSizes(t, meta_);
+    start_calls_.assign(static_cast<size_t>(meta_.num_labels()), 0);
+    CountStartCalls(t, t.root(), +1);
     have_snapshot_ = true;
   } else if (meta_.num_labels() < g_->labels().size()) {
     meta_.ExtendForNewLabels(*g_);
@@ -26,8 +29,16 @@ void BatchUpdater::NoteDamage(LabelId rule) {
   if (damage_seen_.insert(rule).second) damage_.push_back(rule);
 }
 
+void BatchUpdater::CountStartCalls(const Tree& t, NodeId subtree_root,
+                                   int32_t delta) {
+  t.VisitPreorder(subtree_root, [&](NodeId v) {
+    LabelId l = t.label(v);
+    if (g_->IsNonterminal(l)) start_calls_[static_cast<size_t>(l)] += delta;
+  });
+}
+
 void BatchUpdater::ComputeDerivedFresh(NodeId subtree_root) {
-  Tree& t = g_->rhs(g_->start());
+  Tree& t = g_->mutable_rhs(g_->start());
   std::vector<NodeId> fresh = t.Preorder(subtree_root);
   // Fresh material in the start rule: an inlined rule body (isolation
   // partially decompresses) or a copied insert fragment.
@@ -47,7 +58,7 @@ void BatchUpdater::ComputeDerivedFresh(NodeId subtree_root) {
 }
 
 void BatchUpdater::RecomputeUpward(NodeId from) {
-  Tree& t = g_->rhs(g_->start());
+  Tree& t = g_->mutable_rhs(g_->start());
   for (NodeId p = from; p != kNilNode; p = t.parent(p)) {
     int64_t n = meta_.SegTotal(t.label(p));
     for (NodeId c = t.first_child(p); c != kNilNode; c = t.next_sibling(c)) {
@@ -62,7 +73,7 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
     return Status::OutOfRange("preorder positions are 1-based");
   }
   EnsureSnapshot();
-  Tree& t = g_->rhs(g_->start());
+  Tree& t = g_->mutable_rhs(g_->start());
   if (preorder > derived_of(t.root())) {
     return Status::OutOfRange("preorder position " + std::to_string(preorder) +
                               " beyond val(G) size " +
@@ -110,7 +121,10 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
       k = k2;
       continue;
     }
-    NodeId copy_root = InlineCall(*g_, &t, v, g_->rhs(l));
+    std::vector<NodeId> new_calls;
+    NodeId copy_root = InlineCall(*g_, &t, v, g_->rhs(l), &new_calls);
+    --start_calls_[static_cast<size_t>(l)];
+    for (NodeId c : new_calls) ++start_calls_[static_cast<size_t>(t.label(c))];
     // The inlined rule joins the damage set (its usage frontier): its
     // body now sits duplicated in the start rule, so the localized
     // repair must see its occurrences to fold the copy back in.
@@ -123,13 +137,18 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
 Status BatchUpdater::Rename(int64_t preorder, std::string_view new_label) {
   StatusOr<NodeId> u = Isolate(preorder);
   if (!u.ok()) return u.status();
-  Tree& t = g_->rhs(g_->start());
+  Tree& t = g_->mutable_rhs(g_->start());
   if (t.label(u.value()) == kNullLabel) {
     return Status::InvalidArgument("rename target is the empty node ⊥");
   }
   LabelId existing = g_->labels().Find(new_label);
   if (existing == kNullLabel) {
     return Status::InvalidArgument("cannot rename to ⊥");
+  }
+  if (existing != kNoLabel && g_->HasRule(existing)) {
+    // Relabeling the node with a rule's label would turn it into a
+    // call of that rule.
+    return Status::InvalidArgument("rename target names a grammar rule");
   }
   if (existing != kNoLabel && g_->labels().Rank(existing) != 2) {
     return Status::InvalidArgument(
@@ -147,10 +166,18 @@ Status BatchUpdater::Rename(int64_t preorder, std::string_view new_label) {
 
 Status BatchUpdater::InsertBefore(int64_t preorder, const Tree& s) {
   if (s.empty()) return Status::InvalidArgument("empty insert fragment");
+  bool calls_rule = false;
+  s.VisitPreorder(s.root(), [&](NodeId v) {
+    calls_rule = calls_rule || g_->HasRule(s.label(v));
+  });
+  if (calls_rule) {
+    // A rule's label in the fragment would be a call of that rule.
+    return Status::InvalidArgument("insert fragment label names a grammar rule");
+  }
   StatusOr<NodeId> u_or = Isolate(preorder);
   if (!u_or.ok()) return u_or.status();
   NodeId u = u_or.value();
-  Tree& t = g_->rhs(g_->start());
+  Tree& t = g_->mutable_rhs(g_->start());
 
   NodeId copy = t.CopySubtreeFrom(s, s.root());
   NodeId hole = RightmostLeaf(t, copy);
@@ -198,7 +225,7 @@ Status BatchUpdater::Delete(int64_t preorder) {
   StatusOr<NodeId> u_or = Isolate(preorder);
   if (!u_or.ok()) return u_or.status();
   NodeId u = u_or.value();
-  Tree& t = g_->rhs(g_->start());
+  Tree& t = g_->mutable_rhs(g_->start());
   if (t.label(u) == kNullLabel) {
     return Status::InvalidArgument("delete target is the empty node ⊥");
   }
@@ -210,6 +237,7 @@ Status BatchUpdater::Delete(int64_t preorder) {
   NodeId parent = t.parent(u);
   t.Detach(next_sib);
   t.ReplaceWith(u, next_sib);
+  CountStartCalls(t, u, -1);
   t.FreeSubtree(u);  // frees u and its first-child subtree
   RecomputeUpward(parent);
   NoteDamage(g_->start());
@@ -239,13 +267,23 @@ Status BatchUpdater::Apply(const UpdateOp& op) {
 }
 
 int BatchUpdater::Finish() {
+  if (!have_snapshot_) return CollectGarbageRules(g_);
+  // Every rule's call sites: outside the start rule as the snapshot
+  // counted them (the batch edited nothing else), inside it as the
+  // edits left them.
+  std::vector<int32_t> refs(static_cast<size_t>(g_->labels().size()), 0);
+  for (size_t l = 0; l < start_calls_.size(); ++l) refs[l] = start_calls_[l];
+  for (LabelId l = 0; l < meta_.num_labels(); ++l) {
+    refs[static_cast<size_t>(l)] += meta_.OuterRefs(l);
+  }
   // Drop the snapshot first: it borrows rhs trees that garbage
   // collection may remove.
   have_snapshot_ = false;
   meta_ = RuleMeta();
   derived_.clear();
   derived_.shrink_to_fit();
-  return CollectGarbageRules(g_);
+  start_calls_.clear();
+  return RemoveUnreferencedRules(g_, std::move(refs));
 }
 
 StatusOr<BatchResult> ApplyWorkloadBatched(Grammar g,

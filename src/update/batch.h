@@ -5,18 +5,24 @@
 // collects after every single delete. Applying a workload through a
 // BatchUpdater instead amortizes all of that across the batch:
 //
-//  * one shared with-sizes RuleMeta snapshot, built lazily on the
-//    first operation and kept for the whole batch — rule-set shape
-//    never changes between operations (isolation only inlines into the
-//    start rule's interior; garbage collection is deferred), so the
-//    snapshot only ever needs cheap appends when a rename interns a
-//    fresh label (RuleMeta::ExtendForNewLabels);
+//  * one shared with-sizes RuleMeta snapshot, kept for the whole
+//    batch — rule-set shape never changes between operations
+//    (isolation only inlines into the start rule's interior; garbage
+//    collection is deferred), so the snapshot only ever needs cheap
+//    appends when a rename interns a fresh label
+//    (RuleMeta::ExtendForNewLabels). A seeded updater takes it, and
+//    the start rule's size table below, from the snapshot the grammar
+//    was cloned from; an unseeded one builds both on the first
+//    operation;
 //  * the derived-subtree-size table of the start rule is maintained
 //    incrementally: an edit recomputes the sizes of the fresh nodes it
 //    introduces plus the root-to-edit-point spine, O(depth) instead of
 //    O(|rhs|) per operation;
-//  * CollectGarbageRules runs once, in Finish(), instead of per
-//    delete.
+//  * garbage collection runs once, in Finish(), instead of per
+//    delete — and from call counts the batch keeps current (the
+//    snapshot's counts outside the start rule plus the start rule's
+//    own, adjusted by every inline and delete), so it costs the rules
+//    it visits, not a pass over the grammar.
 //
 // The sequence of tree edits is identical to applying the operations
 // one at a time — only snapshot reuse and garbage-collection timing
@@ -29,6 +35,7 @@
 #include <cstdint>
 #include <string_view>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -46,6 +53,19 @@ class BatchUpdater {
   // through this updater.
   explicit BatchUpdater(Grammar* g) : g_(g) {}
 
+  // Seeded: `meta` is a with-sizes RuleMeta of *g as it stands, and
+  // `start_sizes` / `start_calls` the static sizes of its start rule's
+  // nodes by NodeId and the call sites of each rule in it by LabelId
+  // (RuleSummary::StaticSizes / StartCalls) — what the snapshot g was
+  // cloned from already holds — so the updater builds none of them.
+  BatchUpdater(Grammar* g, RuleMeta meta, std::vector<int64_t> start_sizes,
+               std::vector<int32_t> start_calls)
+      : g_(g),
+        have_snapshot_(true),
+        meta_(std::move(meta)),
+        derived_(std::move(start_sizes)),
+        start_calls_(std::move(start_calls)) {}
+
   // Same semantics (and same edit sequence on the start rule) as
   // RenameNode / InsertTreeBefore / DeleteSubtree in update_ops.h,
   // minus the per-operation snapshot and garbage-collection costs.
@@ -62,6 +82,12 @@ class BatchUpdater {
   // ReadLabel-style inspection; the atomic operations in update_ops.cc
   // are thin one-op batches over this and the edit methods above.
   StatusOr<NodeId> Isolate(int64_t preorder);
+
+  // The static sizes of the start rule's nodes by NodeId, as the edits
+  // left them (entries of freed nodes are stale), moved out. Call
+  // after the last operation and before Finish(); the seed for the
+  // child snapshot's index.
+  std::vector<int64_t> TakeStartSizes() { return std::move(derived_); }
 
   // Ends the batch: drops the shared snapshot and garbage-collects
   // rules stranded by deletes. Returns the number of rules removed.
@@ -108,11 +134,16 @@ class BatchUpdater {
   }
 
   void NoteDamage(LabelId rule);
+  // Adds `delta` to start_calls_ for every call node in the subtree.
+  void CountStartCalls(const Tree& t, NodeId subtree_root, int32_t delta);
 
   Grammar* g_;
   bool have_snapshot_ = false;
   RuleMeta meta_;
   std::vector<int64_t> derived_;  // by NodeId of the start rule's rhs
+  // Call sites of each rule in the start rule, by LabelId (labels past
+  // its end: none).
+  std::vector<int32_t> start_calls_;
   std::vector<LabelId> damage_;
   std::unordered_set<LabelId> damage_seen_;
   int64_t edges_added_ = 0;

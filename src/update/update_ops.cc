@@ -1,23 +1,35 @@
 #include "src/update/update_ops.h"
 
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "src/grammar/orders.h"
 #include "src/update/batch.h"
 #include "src/update/path_isolation.h"
 
 namespace slg {
 
 int CollectGarbageRules(Grammar* g) {
-  // Single-pass worklist: count references once, then cascade — when a
-  // dead rule is removed, decrement the counts of its callees and
-  // enqueue the ones that hit zero. The removed set is the same
-  // fixpoint the old recompute-everything loop reached (the call graph
-  // is acyclic), at O(|G|) total instead of O(passes · |G|).
-  auto refs = ComputeRefCounts(*g);
+  std::vector<int32_t> refs(static_cast<size_t>(g->labels().size()), 0);
+  g->ForEachRule([&](LabelId, const Tree& rhs) {
+    rhs.VisitPreorder(rhs.root(), [&](NodeId v) {
+      LabelId l = rhs.label(v);
+      if (g->IsNonterminal(l)) ++refs[static_cast<size_t>(l)];
+    });
+  });
+  return RemoveUnreferencedRules(g, std::move(refs));
+}
+
+int RemoveUnreferencedRules(Grammar* g, std::vector<int32_t> refs) {
+  // Single-pass worklist: when a dead rule is removed, decrement the
+  // counts of its callees and enqueue the ones that hit zero. The
+  // removed set is the fixpoint of repeated sweeps (the call graph is
+  // acyclic), at O(rules + removed bodies).
   std::vector<LabelId> dead;
   for (LabelId r : g->Nonterminals()) {
-    if (r != g->start() && refs[r] == 0) dead.push_back(r);
+    if (r != g->start() && refs[static_cast<size_t>(r)] == 0) {
+      dead.push_back(r);
+    }
   }
   int removed = 0;
   while (!dead.empty()) {
@@ -26,7 +38,8 @@ int CollectGarbageRules(Grammar* g) {
     const Tree& rhs = g->rhs(r);
     rhs.VisitPreorder(rhs.root(), [&](NodeId v) {
       LabelId l = rhs.label(v);
-      if (g->IsNonterminal(l) && --refs[l] == 0 && l != g->start()) {
+      if (g->IsNonterminal(l) && --refs[static_cast<size_t>(l)] == 0 &&
+          l != g->start()) {
         dead.push_back(l);
       }
     });

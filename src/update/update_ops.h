@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/grammar/grammar.h"
@@ -47,6 +48,11 @@ NodeId RightmostLeaf(const Tree& t, NodeId v);
 // Removes rules no longer referenced from the start rule's reachable
 // set (deletions can strand rules). Returns the number removed.
 int CollectGarbageRules(Grammar* g);
+
+// The same, given refs[l] = call sites of rule l in g's rule bodies
+// (by LabelId, covering every rule), e.g. kept up to date by a batch
+// instead of counted over the whole grammar.
+int RemoveUnreferencedRules(Grammar* g, std::vector<int32_t> refs);
 
 // Plain-tree counterparts of the grammar operations (same semantics,
 // applied to an uncompressed binary tree). Used by the workload

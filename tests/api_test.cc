@@ -8,6 +8,9 @@
 #include <memory>
 #include <string>
 
+#include "src/datasets/generators.h"
+#include "src/xml/xml_writer.h"
+
 namespace slg {
 namespace {
 
@@ -23,6 +26,36 @@ TEST(CompressedXmlTreeTest, RoundTrip) {
   auto xml = doc.value().ToXml();
   ASSERT_TRUE(xml.ok());
   EXPECT_EQ(xml.value(), kDoc);
+}
+
+// A tag naming a rank-2 rule of the grammar is rejected: relabeling
+// the node (or inserting the tag) would make it a call of that rule.
+// The tree is left byte-identical.
+TEST(CompressedXmlTreeTest, TagNamingARuleIsRejected) {
+  for (Corpus c : {Corpus::kXMark, Corpus::kMedline, Corpus::kTreebank}) {
+    SCOPED_TRACE(static_cast<int>(c));
+    auto doc_or = CompressedXmlTree::FromXml(WriteXml(GenerateCorpus(c, 0.02), {}));
+    ASSERT_TRUE(doc_or.ok()) << doc_or.status().ToString();
+    CompressedXmlTree doc = doc_or.take();
+    const Grammar& g = doc.grammar();
+    std::string rule;
+    for (LabelId r : g.Nonterminals()) {
+      if (g.labels().Rank(r) == 2) {
+        rule = g.labels().Name(r);
+        break;
+      }
+    }
+    ASSERT_FALSE(rule.empty());
+    const std::string xml = doc.ToXml().value();
+    const std::string image = doc.Serialize();
+
+    EXPECT_EQ(doc.Rename(1, rule).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(doc.InsertXmlBefore(1, "<" + rule + "/>").code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(doc.Serialize(), image);
+    EXPECT_EQ(doc.ToXml().value(), xml);
+    EXPECT_EQ(doc.UpdatesSinceRecompress(), 0);
+  }
 }
 
 TEST(CompressedXmlTreeTest, RejectsBadXml) {

@@ -103,7 +103,7 @@ TEST(CallGraphCacheTest, UpdateTracksRuleChanges) {
   });
   ASSERT_NE(victim, kNoLabel);
   {
-    Tree& t = g.rhs(victim);
+    Tree& t = g.mutable_rhs(victim);
     NodeId call = kNilNode;
     t.VisitPreorder(t.root(), [&](NodeId v) {
       if (call == kNilNode && g.IsNonterminal(t.label(v))) call = v;
@@ -139,7 +139,7 @@ TEST(CallGraphCacheTest, ChangeListsAreExact) {
   });
   ASSERT_NE(victim, kNoLabel);
   {
-    Tree& t = g.rhs(victim);
+    Tree& t = g.mutable_rhs(victim);
     NodeId call = kNilNode;
     t.VisitPreorder(t.root(), [&](NodeId v) {
       if (call == kNilNode && g.IsNonterminal(t.label(v))) call = v;

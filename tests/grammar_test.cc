@@ -109,7 +109,7 @@ TEST(InlinerTest, InlineMatchesDerivationStep) {
   Grammar g = PaperGrammar();
   // Inline B at node (S,3): S -> f(A(A(~,~),B),~)  (paper §II example).
   LabelId s = g.start();
-  Tree& rhs = g.rhs(s);
+  Tree& rhs = g.mutable_rhs(s);
   NodeId b_node = rhs.AtPreorderIndex(3);
   ASSERT_EQ(g.labels().Name(rhs.label(b_node)), "B");
   InlineCall(g, &rhs, b_node);

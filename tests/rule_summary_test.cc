@@ -154,6 +154,8 @@ TEST(RuleSummaryTest, ParameterIntervals) {
   EXPECT_EQ(sum.ParamHi(a, y1), 1);
   EXPECT_EQ(sum.ParamLo(a, h), 2);
   EXPECT_EQ(sum.ParamHi(a, h), 2);
+  EXPECT_EQ(sum.ParamLo(a, y2), 2);
+  EXPECT_EQ(sum.ParamHi(a, y2), 2);
   EXPECT_GT(sum.ParamLo(a, c), sum.ParamHi(a, c));  // none below
 
   // DerivedIn with explicit argument sizes: val(A(x,y)) has 3 material

@@ -33,6 +33,7 @@
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
 #include "src/grammar/binary_format.h"
+#include "src/obs/metrics.h"
 #include "src/store/io.h"
 #include "src/workload/update_workload.h"
 #include "src/xml/binary_encoding.h"
@@ -387,6 +388,66 @@ TEST(DocumentServiceTest, DurableServiceRecoversUnseenTagsAcrossMerges) {
   EXPECT_EQ(reopened->OpenReader().ToXml().value(), final_xml);
   reopened.reset();
   RemoveTree(dir);
+}
+
+// The name of a rank-2 rule of the served grammar: a tag a client may
+// send, which must never be taken as a call of that rule.
+std::string RankTwoRuleName(const Grammar& g) {
+  for (LabelId r : g.Nonterminals()) {
+    if (g.labels().Rank(r) == 2) return g.labels().Name(r);
+  }
+  return "";
+}
+
+TEST(DocumentServiceTest, TagNamingARuleIsRejectedAndNothingIsJournaled) {
+  for (Corpus c : {Corpus::kXMark, Corpus::kMedline, Corpus::kTreebank}) {
+    SCOPED_TRACE(static_cast<int>(c));
+    const std::string dir = NewDir("rule_tag");
+    ServiceOptions opts = ManualMerge();
+    opts.durable_dir = dir;
+    auto svc_or =
+        DocumentService::FromXml(WriteXml(GenerateCorpus(c, 0.02), {}), opts);
+    ASSERT_TRUE(svc_or.ok()) << svc_or.status().ToString();
+    auto svc = svc_or.take();
+    DocumentService::Reader before = svc->OpenReader();
+    const std::string rule = RankTwoRuleName(before.snapshot().grammar());
+    ASSERT_FALSE(rule.empty());
+    const LabelId rule_id = before.snapshot().grammar().labels().Find(rule);
+    const std::string xml = before.ToXml().value();
+    const std::string image = SerializeGrammar(before.snapshot().grammar());
+
+    auto writer = svc->OpenWriter();
+    EXPECT_EQ(writer.Rename(1, rule).code(), StatusCode::kInvalidArgument);
+    std::vector<UpdateOp> ops(1);
+    ops[0].kind = UpdateOp::Kind::kRename;
+    ops[0].preorder = 1;
+    ops[0].label = rule_id;
+    EXPECT_EQ(writer.Apply(ops).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(writer.InsertXmlBefore(1, "<" + rule + "/>").code(),
+              StatusCode::kInvalidArgument);
+
+    DocumentService::Reader after = svc->OpenReader();
+    EXPECT_EQ(after.version(), 0);
+    EXPECT_EQ(svc->GetStats().acked_batches, 0);
+    EXPECT_EQ(after.ToXml().value(), xml);
+    EXPECT_EQ(SerializeGrammar(after.snapshot().grammar()), image);
+    svc.reset();
+
+    // Nothing was journaled: recovery replays no batch.
+    const int64_t replayed = obs::MetricsRegistry::Global()
+                                 .GetCounter("store.journal.replayed_batches")
+                                 .Value();
+    auto reopened_or = DocumentService::Open(opts);
+    ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+    auto reopened = reopened_or.take();
+    EXPECT_EQ(obs::MetricsRegistry::Global()
+                  .GetCounter("store.journal.replayed_batches")
+                  .Value(),
+              replayed);
+    EXPECT_EQ(reopened->OpenReader().ToXml().value(), xml);
+    reopened.reset();
+    RemoveTree(dir);
+  }
 }
 
 TEST(DocumentServiceTest, OpenRequiresDurableDir) {
