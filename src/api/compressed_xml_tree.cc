@@ -77,7 +77,9 @@ void CompressedXmlTree::Recompress() {
       options_.localized && updates_since_recompress_ > 0
           ? LocalizedGrammarRePair(std::move(g), damage, options_.repair)
           : GrammarRePair(std::move(g), options_.repair);
-  // Rules the repair left alone keep their bodies and index entries.
+  // As the service's merge: compact what the repair rewrote. Rules the
+  // repair left alone keep their bodies and index entries.
+  r.grammar.CompactOwnedBodies();
   snap_ = GrammarSnapshot::Derive(*snap_, std::move(r.grammar),
                                   snap_->version() + 1);
   updates_since_recompress_ = 0;

@@ -39,6 +39,17 @@ Tree& Grammar::mutable_rhs(LabelId l) {
   return *body;
 }
 
+void Grammar::CompactOwnedBodies() {
+  for (StoredRule& r : rules_) {
+    // use_count() == 1 as in mutable_rhs: no other grammar can gain a
+    // share of a body only this one holds.
+    if (r.rhs != nullptr && r.rhs.use_count() == 1) {
+      std::atomic_thread_fence(std::memory_order_acquire);
+      r.rhs->Compact();
+    }
+  }
+}
+
 void Grammar::set_rhs(LabelId l, Tree rhs) {
   SLG_CHECK(!rhs.empty());
   rules_[IndexOf(l)].rhs = std::make_shared<Tree>(std::move(rhs));

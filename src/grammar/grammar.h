@@ -98,6 +98,12 @@ class Grammar {
   Tree& mutable_rhs(LabelId l);
   // Replaces l's body outright (no copy of the old one).
   void set_rhs(LabelId l, Tree rhs);
+  // Tree::Compact() on every body no other grammar shares: the ones
+  // this grammar built or edited. Shared bodies are left alone, so a
+  // clone keeps sharing them (and, in a derived snapshot, their index
+  // entries). NodeIds of the compacted bodies change; the derived
+  // document does not.
+  void CompactOwnedBodies();
 
   LabelId start() const { return start_; }
   void set_start(LabelId s) { start_ = s; }

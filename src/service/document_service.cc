@@ -75,9 +75,17 @@ GrammarRepairResult Merge(const GrammarSnapshot& in,
                           const std::vector<LabelId>& damage,
                           const UpdateOptions& update) {
   Grammar g = in.grammar().Clone();
-  return update.localized
-             ? LocalizedGrammarRePair(std::move(g), damage, update.repair)
-             : GrammarRePair(std::move(g), update.repair);
+  GrammarRepairResult r =
+      update.localized
+          ? LocalizedGrammarRePair(std::move(g), damage, update.repair)
+          : GrammarRePair(std::move(g), update.repair);
+  // Compacts what the repair rewrote (the start rule above all): reads
+  // and the next writes walk a tenth of the memory, and the bodies get
+  // the numbering a loaded snapshot has, so a reopened service goes on
+  // repairing exactly like this one (the repair's tie-breaks see
+  // NodeIds).
+  r.grammar.CompactOwnedBodies();
+  return r;
 }
 
 }  // namespace

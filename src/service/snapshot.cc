@@ -156,10 +156,14 @@ StatusOr<std::shared_ptr<const GrammarSnapshot>> CompressXmlToSnapshot(
     sharded.shard_repair.prune = false;
     sharded.merge_repair = options.repair;
     ShardedCompressResult r = ShardedCompress(std::move(bin), labels, sharded);
+    // The repair leaves the start rule's arena mostly holes; serve it
+    // compact.
+    r.grammar.CompactOwnedBodies();
     return GrammarSnapshot::Make(std::move(r.grammar));
   }
   Grammar g = Grammar::ForTree(std::move(bin), std::move(labels));
   GrammarRepairResult r = GrammarRePair(std::move(g), options.repair);
+  r.grammar.CompactOwnedBodies();
   return GrammarSnapshot::Make(std::move(r.grammar));
 }
 

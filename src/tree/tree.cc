@@ -120,6 +120,30 @@ void Tree::FreeSubtree(NodeId v) {
   }
 }
 
+void Tree::Compact() {
+  std::vector<NodeId> id(nodes_.size(), kNilNode);
+  std::vector<Node> out;
+  out.reserve(static_cast<size_t>(live_count_));
+  VisitPreorder(root_, [&](NodeId v) {
+    id[static_cast<size_t>(v)] = static_cast<NodeId>(out.size());
+    out.push_back(nodes_[static_cast<size_t>(v)]);
+  });
+  auto remap = [&](NodeId v) {
+    return v == kNilNode ? kNilNode : id[static_cast<size_t>(v)];
+  };
+  for (Node& n : out) {
+    n.parent = remap(n.parent);
+    n.first_child = remap(n.first_child);
+    n.next_sibling = remap(n.next_sibling);
+    n.prev_sibling = remap(n.prev_sibling);
+  }
+  root_ = remap(root_);
+  nodes_ = std::move(out);
+  free_list_.clear();
+  free_list_.shrink_to_fit();
+  live_count_ = static_cast<int>(nodes_.size());
+}
+
 NodeId Tree::CopySubtreeFrom(const Tree& src, NodeId src_root,
                              std::unordered_map<NodeId, NodeId>* mapping) {
   NodeId dst_root = NewNode(src.label(src_root));

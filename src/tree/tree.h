@@ -92,6 +92,14 @@ class Tree {
   // Frees v and its entire subtree. v must be detached.
   void FreeSubtree(NodeId v);
 
+  // Renumbers the nodes reachable from the root in preorder (root 0)
+  // and drops every other slot. Edits leave freed slots behind (a
+  // repaired document's start rule keeps about one live node in ten),
+  // and every NodeId-indexed table and walk over the tree pays for the
+  // holes; after Compact() the arena holds exactly the tree, laid out
+  // in the order walks visit it. Invalidates all NodeIds.
+  void Compact();
+
   // Detaches and frees in one step.
   void DetachAndFree(NodeId v) {
     Detach(v);

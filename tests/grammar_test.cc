@@ -55,6 +55,31 @@ TEST(GrammarTest, CloneIsDeep) {
   EXPECT_FALSE(h.HasRule(b));
 }
 
+TEST(GrammarTest, CompactOwnedBodiesLeavesSharedBodiesAlone) {
+  Grammar g = PaperGrammar();
+  Grammar h = g.Clone();
+  LabelId a = g.labels().Find("A");
+  // Give h its own start body with a hole: S -> f(A(B,B),~) becomes
+  // S -> f(B,~).
+  Tree& s = h.mutable_rhs(h.start());
+  NodeId call = s.Child(s.root(), 1);
+  NodeId b = s.Child(call, 1);
+  s.Detach(b);
+  s.ReplaceWith(call, b);
+  s.FreeSubtree(call);
+  const std::string before_g = FormatGrammar(g);
+  const std::string before_h = FormatGrammar(h);
+
+  h.CompactOwnedBodies();
+  EXPECT_EQ(FormatGrammar(h), before_h);
+  EXPECT_EQ(FormatGrammar(g), before_g);
+  EXPECT_EQ(&h.rhs(a), &g.rhs(a));  // still shared
+  std::vector<NodeId> order = h.rhs(h.start()).Preorder();
+  for (size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<NodeId>(i));
+  }
+}
+
 TEST(TextFormatTest, RoundTrip) {
   Grammar g = PaperGrammar();
   std::string text = FormatGrammar(g);

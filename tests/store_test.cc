@@ -225,6 +225,7 @@ class Mirror {
   void Merge() {
     UpdateOptions update;
     g_ = LocalizedGrammarRePair(std::move(g_), damage_, update.repair).grammar;
+    g_.CompactOwnedBodies();  // as the service's merge does
     damage_.clear();
     seen_.clear();
   }
@@ -715,6 +716,58 @@ TEST(DurableServiceReopen, ReopenMidWorkloadThenFlushMatchesContinuous) {
     RemoveTree(dir_a);
     RemoveTree(dir_b);
   }
+}
+
+// Recovery rebuilds every rule body from a snapshot, node by node in
+// preorder, while the running service's bodies carry the slot layout of
+// their edit history. The repair breaks ties between overlapping digram
+// occurrences by NodeId, so both must number nodes alike for a reopened
+// service to keep merging exactly like one that never stopped: several
+// merges after the reopen, on a corpus whose repairs hit such ties.
+TEST(DurableServiceReopen, ReopenedServiceKeepsMergingLikeTheContinuousOne) {
+  Scenario sc;
+  MakeScenario(Corpus::kExiTelecomp, 0.05, 192, 4, 11, &sc);
+  const size_t reopen_after = static_cast<size_t>(*sc.flush_after.begin());
+  auto run = [&](DocumentService* svc, size_t from, size_t to,
+                 std::vector<std::string>* merged) {
+    for (size_t i = from; i < to; ++i) {
+      ASSERT_TRUE(svc->OpenWriter().Apply(sc.batches[i]).ok());
+      if (sc.flush_after.count(static_cast<int>(i)) > 0 ||
+          i + 1 == sc.batches.size()) {
+        ASSERT_TRUE(svc->Flush().ok());
+        merged->push_back(ServedBytes(*svc));
+      }
+    }
+  };
+
+  std::string dir_a = NewDir("keep_cont");
+  std::vector<std::string> continuous;
+  {
+    auto a = DocumentService::FromGrammar(sc.start.Clone(), DurableOpts(dir_a));
+    ASSERT_TRUE(a.ok());
+    ASSERT_NO_FATAL_FAILURE(
+        run(a.value().get(), 0, sc.batches.size(), &continuous));
+  }
+
+  std::string dir_b = NewDir("keep_split");
+  std::vector<std::string> reopened;
+  {
+    auto b = DocumentService::FromGrammar(sc.start.Clone(), DurableOpts(dir_b));
+    ASSERT_TRUE(b.ok());
+    ASSERT_NO_FATAL_FAILURE(
+        run(b.value().get(), 0, reopen_after + 1, &reopened));
+  }
+  auto b = DocumentService::Open(DurableOpts(dir_b));
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ASSERT_NO_FATAL_FAILURE(run(b.value().get(), reopen_after + 1,
+                              sc.batches.size(), &reopened));
+  ASSERT_EQ(reopened.size(), continuous.size());
+  for (size_t m = 0; m < continuous.size(); ++m) {
+    EXPECT_EQ(reopened[m], continuous[m]) << "merge " << m;
+  }
+  b.value().reset();
+  RemoveTree(dir_a);
+  RemoveTree(dir_b);
 }
 
 // --------------------------------------------------------------------

@@ -149,6 +149,30 @@ TEST_F(TreeTest, CopySubtreeFromPreservesStructure) {
   EXPECT_TRUE(TreeEquals(src, dst));
 }
 
+TEST_F(TreeTest, CompactRenumbersInPreorderAndDropsHoles) {
+  LabelTable labels;
+  Tree t = ParseTerm("f(g(a,b),h(c,d))", &labels).take();
+  // Free g's subtree and put a new node in h's place: the arena keeps
+  // holes, and the recycled slot sits out of preorder.
+  NodeId g = t.Child(t.root(), 1);
+  t.DetachAndFree(g);
+  NodeId e = t.NewNode(labels.Intern("e", 0));
+  t.InsertBefore(t.Child(t.root(), 1), e);
+  const std::string term = ToTerm(t, labels);
+  ASSERT_EQ(term, "f(e,h(c,d))");
+
+  t.Compact();
+  EXPECT_EQ(ToTerm(t, labels), term);
+  EXPECT_EQ(t.LiveCount(), 5);
+  std::vector<NodeId> order = t.Preorder();
+  for (size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<NodeId>(i));
+  }
+  EXPECT_TRUE(t.CheckConsistency());
+  // No free slots are left to recycle.
+  EXPECT_EQ(t.NewNode(labels.Intern("a", 0)), 5);
+}
+
 TEST_F(TreeTest, PreorderAndIndexing) {
   LabelTable labels;
   Tree t = ParseTerm("f(g(a,b),c)", &labels).take();
