@@ -17,6 +17,7 @@
 #include "src/core/grammar_repair.h"
 #include "src/core/retrieve_occs.h"
 #include "src/datasets/generators.h"
+#include "src/grammar/rule_index.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/usage.h"
 #include "src/grammar/value.h"
@@ -24,6 +25,7 @@
 #include "src/obs/trace.h"
 #include "src/repair/tree_repair.h"
 #include "src/service/document_service.h"
+#include "src/service/snapshot.h"
 #include "src/update/batch.h"
 #include "src/update/path_isolation.h"
 #include "src/update/update_ops.h"
@@ -61,6 +63,7 @@ BENCHMARK(BM_TreeRePairCompress);
 
 struct CompressedFixture {
   Grammar grammar;
+  std::shared_ptr<const RuleIndex> index;  // what cursors share
   int64_t nodes;
   int64_t elements;
   static CompressedFixture& Get() {
@@ -69,7 +72,9 @@ struct CompressedFixture {
       LabelTable labels;
       Tree bin = EncodeBinary(xml, &labels);
       auto* fx = new CompressedFixture{
-          TreeRePair(std::move(bin), labels, {}).grammar, 0, 0};
+          TreeRePair(std::move(bin), labels, {}).grammar, nullptr, 0, 0};
+      fx->index =
+          std::make_shared<const RuleIndex>(RuleIndex::Build(fx->grammar));
       fx->nodes = ValueNodeCount(fx->grammar);
       fx->elements = ValueElementCount(fx->grammar);
       return fx;
@@ -101,11 +106,13 @@ BENCHMARK(BM_DigramIndexBuild);
 
 // Document-order DFS over every element of val(G) through the cursor:
 // the query-without-decompression workload the paper's premise rests
-// on. Exercises Down/Up across rule boundaries on every step.
+// on. Exercises Down/Up across rule boundaries on every step. Each
+// iteration opens a cursor on the fixture's prebuilt index, as a
+// reader of a snapshot does.
 void BM_CursorDfsTraversal(benchmark::State& state) {
   CompressedFixture& f = CompressedFixture::Get();
   for (auto _ : state) {
-    GrammarCursor cur(&f.grammar);
+    GrammarCursor cur(&f.grammar, f.index);
     int64_t visited = 1;
     bool done = false;
     while (!done) {
@@ -134,7 +141,7 @@ BENCHMARK(BM_CursorDfsTraversal);
 // the matching ascents: the pure Down/Up hot loop.
 void BM_CursorRootToLeaf(benchmark::State& state) {
   CompressedFixture& f = CompressedFixture::Get();
-  GrammarCursor cur(&f.grammar);
+  GrammarCursor cur(&f.grammar, f.index);
   int64_t steps = 0;
   for (auto _ : state) {
     cur.ToRoot();
@@ -154,7 +161,7 @@ BENCHMARK(BM_CursorRootToLeaf);
 // binary encoding turns this into repeated Down(2) hops.
 void BM_CursorSiblingScan(benchmark::State& state) {
   CompressedFixture& f = CompressedFixture::Get();
-  GrammarCursor cur(&f.grammar);
+  GrammarCursor cur(&f.grammar, f.index);
   int64_t scanned = 0;
   for (auto _ : state) {
     cur.ToRoot();
@@ -167,6 +174,39 @@ void BM_CursorSiblingScan(benchmark::State& state) {
   state.SetItemsProcessed(scanned);
 }
 BENCHMARK(BM_CursorSiblingScan);
+
+// GrammarSnapshot::Make on an ingested document: the one RuleIndex
+// build every snapshot made from scratch pays (ingest, recovery, the
+// unseeded updater). Treebank 0.25 and medline 0.5, the grammars the
+// lifecycle benchmark serves; the grammar clone and the old
+// snapshot's release are untimed.
+void BM_SnapshotBuild(benchmark::State& state) {
+  static std::map<int, std::shared_ptr<const GrammarSnapshot>>* docs =
+      new std::map<int, std::shared_ptr<const GrammarSnapshot>>();
+  const int which = static_cast<int>(state.range(0));
+  auto [it, fresh] = docs->try_emplace(which);
+  if (fresh) {
+    XmlTree xml = which == 0 ? GenerateCorpus(Corpus::kTreebank, 0.25)
+                             : GenerateCorpus(Corpus::kMedline, 0.5);
+    CompressOptions opts;
+    opts.num_shards = 1;
+    it->second = CompressXmlToSnapshot(WriteXml(xml, {}), opts).take();
+  }
+  const Grammar& g = it->second->grammar();
+  std::shared_ptr<const GrammarSnapshot> snap;
+  for (auto _ : state) {
+    state.PauseTiming();
+    snap.reset();
+    Grammar clone = g.Clone();
+    state.ResumeTiming();
+    snap = GrammarSnapshot::Make(std::move(clone));
+    benchmark::DoNotOptimize(snap->edges());
+  }
+  state.SetLabel(which == 0 ? "treebank 0.25" : "medline 0.5");
+  state.counters["rules"] = g.RuleCount();
+  state.counters["edges"] = static_cast<double>(it->second->edges());
+}
+BENCHMARK(BM_SnapshotBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_PathIsolation(benchmark::State& state) {
   CompressedFixture& f = CompressedFixture::Get();

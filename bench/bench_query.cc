@@ -28,8 +28,7 @@
 #include "src/common/timer.h"
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
-#include "src/grammar/rule_meta.h"
-#include "src/grammar/rule_summary.h"
+#include "src/grammar/rule_index.h"
 #include "src/grammar/value.h"
 #include "src/obs/session.h"
 #include "src/query/engine.h"
@@ -170,9 +169,8 @@ int Run(int argc, char** argv) {
 
   for (const CorpusRow& row : kCorpora) {
     Grammar g = CompressedCorpus(row.corpus, scale);
-    RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-    RuleSummary sum = RuleSummary::Build(g, meta);
-    QueryEngine eng(&g, &meta, &sum);
+    RuleIndex index = RuleIndex::Build(g);
+    QueryEngine eng(&g, &index);
     std::string tag = FrequentTag(g);
 
     TablePrinter table({"query", "matches", "rules visited", "memo entries",
@@ -199,7 +197,7 @@ int Run(int argc, char** argv) {
     }
     std::printf("%s (%lld rules, %lld binary nodes)\n", row.name,
                 static_cast<long long>(g.RuleCount()),
-                static_cast<long long>(sum.DerivedSize()));
+                static_cast<long long>(index.DerivedSize()));
     table.Print();
     std::printf("\n");
   }
@@ -214,21 +212,20 @@ int Run(int argc, char** argv) {
   int si = 0;
   for (double s : kScales) {
     Grammar g = CompressedCorpus(Corpus::kExiWeblog, s);
-    RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-    RuleSummary sum = RuleSummary::Build(g, meta);
-    QueryEngine eng(&g, &meta, &sum);
+    RuleIndex index = RuleIndex::Build(g);
+    QueryEngine eng(&g, &index);
     std::string tag = FrequentTag(g);
     QueryCase q{"scale", "count(//" + tag + ")", OracleKind::kCountLabel, tag};
     CaseResult r = RunCase(g, eng, q, reps);
     stable.AddRow({TablePrinter::Fixed(s, 3),
-                   TablePrinter::Num(sum.DerivedSize()),
+                   TablePrinter::Num(index.DerivedSize()),
                    TablePrinter::Num(g.RuleCount()),
                    TablePrinter::Num(r.stats.rules_visited),
                    TablePrinter::Num(r.stats.memo_entries),
                    TablePrinter::Fixed(r.engine_ms, 3),
                    TablePrinter::Fixed(r.oracle_ms, 3)});
     json.Add("query/scaling/weblog/s" + std::to_string(si++),
-             {{"tree_nodes", static_cast<double>(sum.DerivedSize())},
+             {{"tree_nodes", static_cast<double>(index.DerivedSize())},
               {"rules", static_cast<double>(g.RuleCount())},
               {"rules_visited", static_cast<double>(r.stats.rules_visited)},
               {"memo_entries", static_cast<double>(r.stats.memo_entries)},

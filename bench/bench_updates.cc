@@ -4,10 +4,9 @@
 // engines:
 //
 //   per-op    isolate + edit (+ GC on delete) per operation — a fresh
-//             with-sizes RuleMeta snapshot and derived-size pass every
-//             single call (update_ops.h);
+//             RuleIndex build every single call (update_ops.h);
 //   batched   one BatchUpdater per recompression period — one shared
-//             snapshot, incremental derived sizes, one GC per period.
+//             index, incremental derived sizes, one GC per period.
 //
 // Both pipelines recompress with GrammarRePair at the same checkpoints
 // (every --period operations), so the comparison isolates the engine

@@ -2,34 +2,28 @@
 
 #include <utility>
 
-#include "src/grammar/rule_summary.h"
-
 namespace slg {
 
-GrammarCursor::GrammarCursor(const Grammar* g)
-    : GrammarCursor(g, std::make_shared<const RuleMeta>(
-                           RuleMeta::Build(*g, /*with_sizes=*/false))) {}
-
 GrammarCursor::GrammarCursor(const Grammar* g,
-                             std::shared_ptr<const RuleMeta> meta)
-    : g_(g), meta_(std::move(meta)) {
+                             std::shared_ptr<const RuleIndex> index)
+    : g_(g), index_(std::move(index)) {
   ToRoot();
 }
 
 void GrammarCursor::ToRoot() {
   stack_.clear();
   cur_rule_ = g_->start();
-  cur_ = meta_->RhsRoot(cur_rule_);
+  cur_ = index_->RhsRoot(cur_rule_);
   depth_ = 0;
   ResolveDown();
 }
 
 void GrammarCursor::ResolveDown() {
-  // The boundary crossings live in the shared summary-layer helper
+  // The boundary crossings live in the shared index-layer helper
   // (ResolveToTerminal): a parameter pops to the instantiating call's
   // argument, a call pushes a frame and enters the callee at its root.
   ResolveToTerminal(
-      *meta_, cur_rule_, cur_,
+      *index_, cur_rule_, cur_,
       [&]() -> std::pair<LabelId, NodeId> {
         SLG_CHECK_MSG(!stack_.empty(), "parameter at derivation top");
         Frame f = stack_.back();
@@ -50,7 +44,7 @@ const std::string& GrammarCursor::LabelName() const {
   return g_->labels().Name(Label());
 }
 
-int GrammarCursor::NumChildren() const { return meta_->Rank(Label()); }
+int GrammarCursor::NumChildren() const { return index_->Rank(Label()); }
 
 bool GrammarCursor::Down(int i) {
   const Tree& t = RuleTree(cur_rule_);
@@ -66,7 +60,7 @@ int GrammarCursor::DerivedChildIndex() const {
   // Index of the current derived node under its derived parent (0 at
   // the derived root): walk the same boundaries Up() crosses, without
   // moving the cursor.
-  const RuleMeta& meta = *meta_;
+  const RuleIndex& index = *index_;
   const Tree* t = &RuleTree(cur_rule_);
   LabelId rule = cur_rule_;
   NodeId c = cur_;
@@ -89,12 +83,12 @@ int GrammarCursor::DerivedChildIndex() const {
       c = f.call;
       continue;
     }
-    if (meta.IsNonterminal(t->label(p))) {
+    if (index.IsNonterminal(t->label(p))) {
       int j = t->ChildIndex(c);
       extra.push_back(Frame{rule, p});
       rule = t->label(p);
       t = &RuleTree(rule);
-      c = meta.ParamNode(rule, j);
+      c = index.ParamNode(rule, j);
       continue;
     }
     return t->ChildIndex(c);
@@ -102,7 +96,7 @@ int GrammarCursor::DerivedChildIndex() const {
 }
 
 bool GrammarCursor::Up() {
-  const RuleMeta& meta = *meta_;
+  const RuleIndex& index = *index_;
   for (;;) {
     const Tree& t = RuleTree(cur_rule_);
     NodeId p = t.parent(cur_);
@@ -117,13 +111,13 @@ bool GrammarCursor::Up() {
       continue;
     }
     LabelId pl = t.label(p);
-    if (meta.IsNonterminal(pl)) {
+    if (index.IsNonterminal(pl)) {
       // Current node is the j-th argument of a call: the derived
       // parent is the parent of the j-th parameter inside the callee.
       int j = t.ChildIndex(cur_);
       stack_.push_back(Frame{cur_rule_, p});
       cur_rule_ = pl;
-      cur_ = meta.ParamNode(pl, j);
+      cur_ = index.ParamNode(pl, j);
       continue;
     }
     cur_ = p;
@@ -138,7 +132,7 @@ bool GrammarCursor::Right() {
   // cursor copy, no Up/Down round trip.
   const Tree& t = RuleTree(cur_rule_);
   NodeId p = t.parent(cur_);
-  if (p != kNilNode && !meta_->IsNonterminal(t.label(p))) {
+  if (p != kNilNode && !index_->IsNonterminal(t.label(p))) {
     NodeId s = t.next_sibling(cur_);
     if (s == kNilNode) return false;
     cur_ = s;
@@ -157,7 +151,7 @@ bool GrammarCursor::Right() {
 bool GrammarCursor::Left() {
   const Tree& t = RuleTree(cur_rule_);
   NodeId p = t.parent(cur_);
-  if (p != kNilNode && !meta_->IsNonterminal(t.label(p))) {
+  if (p != kNilNode && !index_->IsNonterminal(t.label(p))) {
     NodeId s = t.prev_sibling(cur_);
     if (s == kNilNode) return false;
     cur_ = s;

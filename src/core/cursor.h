@@ -8,10 +8,11 @@
 // depth); the cursor never materializes any part of the tree.
 //
 // Per-step rule metadata (is-nonterminal, rank, param index, rhs root,
-// parameter positions) comes from a RuleMeta snapshot built once at
-// construction — flat arrays indexed by LabelId instead of the
-// grammar's hash lookups — and is shared between cursor copies, so
-// copying a cursor stays cheap (frame stack + refcount).
+// parameter positions) comes from the version's RuleIndex — dense
+// arrays indexed by LabelId instead of the grammar's hash lookups —
+// which the cursor shares with every other reader of the version
+// (GrammarSnapshot::Cursor()), so creating or copying a cursor costs
+// a frame stack and a refcount.
 //
 // Navigation operates on the binary encoding; element-level helpers
 // (FirstChildElement / NextSiblingElement) skip the ⊥ slots.
@@ -27,20 +28,16 @@
 #include <vector>
 
 #include "src/grammar/grammar.h"
-#include "src/grammar/rule_meta.h"
+#include "src/grammar/rule_index.h"
 
 namespace slg {
 
 class GrammarCursor {
  public:
-  // Positions the cursor at the root of val(g). The grammar must be
-  // valid and non-empty. Builds the RuleMeta snapshot (one pass over
-  // the grammar).
-  explicit GrammarCursor(const Grammar* g);
-
-  // Shares `meta` (which must be a snapshot of *g) instead of building
-  // a fresh one — for callers creating many short-lived cursors.
-  GrammarCursor(const Grammar* g, std::shared_ptr<const RuleMeta> meta);
+  // Positions the cursor at the root of val(g), sharing `index`, which
+  // must be the RuleIndex of *g. The grammar must be valid and
+  // non-empty.
+  GrammarCursor(const Grammar* g, std::shared_ptr<const RuleIndex> index);
 
   // Label of the current derived node.
   LabelId Label() const;
@@ -84,7 +81,7 @@ class GrammarCursor {
     NodeId call;  // call node in this rule whose callee we are inside
   };
 
-  const Tree& RuleTree(LabelId rule) const { return meta_->Rhs(rule); }
+  const Tree& RuleTree(LabelId rule) const { return index_->Rhs(rule); }
 
   // Resolves cur_ (which may sit on a parameter or a call) to a
   // terminal node, adjusting the frame stack.
@@ -95,7 +92,7 @@ class GrammarCursor {
   int DerivedChildIndex() const;
 
   const Grammar* g_;
-  std::shared_ptr<const RuleMeta> meta_;
+  std::shared_ptr<const RuleIndex> index_;
   // Stack of enclosing call sites; the current position is node cur_
   // within rule cur_rule_.
   std::vector<Frame> stack_;

@@ -8,20 +8,8 @@
 
 namespace slg {
 
-SnapshotNav::SnapshotNav(const Grammar* g, const RuleMeta* meta,
-                         const RuleSummary* summary)
-    : g_(g),
-      meta_(meta),
-      summary_(summary),
-      derived_size_(summary->DerivedSize()) {}
-
-SnapshotNav::SnapshotNav(const Grammar* g, const RuleMeta* meta)
-    : g_(g),
-      meta_(meta),
-      owned_summary_(std::make_shared<const RuleSummary>(
-          RuleSummary::Build(*g, *meta))),
-      summary_(owned_summary_.get()),
-      derived_size_(summary_->DerivedSize()) {}
+SnapshotNav::SnapshotNav(const Grammar* g, const RuleIndex* index)
+    : g_(g), index_(index), derived_size_(index->DerivedSize()) {}
 
 StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder) const {
   if (preorder < 1 || preorder > derived_size_) {
@@ -33,10 +21,10 @@ StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder) const {
   std::vector<Frame> frames;
   frames.push_back(Frame{g_->start(), kNilNode, {}, {}});
   LabelId rule = g_->start();
-  NodeId v = meta_->RhsRoot(rule);
+  NodeId v = index_->RhsRoot(rule);
   for (;;) {
     ResolveToTerminal(
-        *meta_, rule, v,
+        *index_, rule, v,
         [&]() -> std::pair<LabelId, NodeId> {
           // Parameter: the derived subtree is the call's argument —
           // resume there, in the caller's context. k is unchanged.
@@ -48,11 +36,11 @@ StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder) const {
           // Call: precompute the argument-size prefix sums the body's
           // parameter ranges need.
           const Frame& f = frames.back();
-          const Tree& t = meta_->Rhs(rule);
+          const Tree& t = index_->Rhs(rule);
           Frame nf;
           nf.rule = callee;
           nf.call = v;
-          nf.size_prefix.resize(static_cast<size_t>(meta_->Rank(callee)) + 1);
+          nf.size_prefix.resize(static_cast<size_t>(index_->Rank(callee)) + 1);
           nf.size_prefix[0] = 0;
           size_t j = 0;
           for (NodeId c = t.first_child(v); c != kNilNode;
@@ -66,7 +54,7 @@ StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder) const {
         });
     // Terminal: this node holds preorder position 1 of its subtree.
     const Frame& f = frames.back();
-    const Tree& t = meta_->Rhs(rule);
+    const Tree& t = index_->Rhs(rule);
     LabelId l = t.label(v);
     if (k == 1) return l;
     --k;
@@ -85,7 +73,7 @@ StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder) const {
 }
 
 void SnapshotNav::BuildOccIndex(LabelId want, OccIndex* occ) const {
-  size_t num_labels = static_cast<size_t>(summary_->num_labels());
+  size_t num_labels = static_cast<size_t>(index_->num_labels());
   occ->val.assign(num_labels, -1);
   occ->static_occ.resize(num_labels);
   // Iterative post-order over the rule DAG: a rule is computed once
@@ -100,12 +88,12 @@ void SnapshotNav::BuildOccIndex(LabelId want, OccIndex* occ) const {
       stack.pop_back();
       continue;
     }
-    const Tree& t = meta_->Rhs(r);
+    const Tree& t = index_->Rhs(r);
     std::vector<NodeId> order = t.Preorder();
     bool ready = true;
     for (NodeId v : order) {
       LabelId l = t.label(v);
-      if (meta_->IsNonterminal(l) && occ->val[static_cast<size_t>(l)] < 0) {
+      if (index_->IsNonterminal(l) && occ->val[static_cast<size_t>(l)] < 0) {
         stack.push_back(l);
         ready = false;
       }
@@ -119,9 +107,9 @@ void SnapshotNav::BuildOccIndex(LabelId want, OccIndex* occ) const {
       NodeId v = *it;
       LabelId l = t.label(v);
       int64_t o = 0;
-      if (meta_->IsNonterminal(l)) {
+      if (index_->IsNonterminal(l)) {
         o = occ->val[static_cast<size_t>(l)];
-      } else if (meta_->ParamIndex(l) == 0 && l == want) {
+      } else if (index_->ParamIndex(l) == 0 && l == want) {
         o = 1;
       }
       for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
@@ -137,7 +125,7 @@ void SnapshotNav::BuildOccIndex(LabelId want, OccIndex* occ) const {
 StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   if (want == kNoLabel ||
-      static_cast<size_t>(want) >= static_cast<size_t>(summary_->num_labels())) {
+      static_cast<size_t>(want) >= static_cast<size_t>(index_->num_labels())) {
     return Status::NotFound("tag never occurs");
   }
   OccIndex occ;
@@ -152,11 +140,11 @@ StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
   std::vector<Frame> frames;
   frames.push_back(Frame{g_->start(), kNilNode, {}, {}});
   LabelId rule = g_->start();
-  NodeId v = meta_->RhsRoot(rule);
+  NodeId v = index_->RhsRoot(rule);
   for (;;) {
     int64_t shortcut = -1;
     ResolveToTerminal(
-        *meta_, rule, v,
+        *index_, rule, v,
         [&]() -> std::pair<LabelId, NodeId> {
           NodeId call = frames.back().call;
           frames.pop_back();
@@ -164,11 +152,11 @@ StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
         },
         [&](LabelId callee) {
           const Frame& f = frames.back();
-          const Tree& t = meta_->Rhs(rule);
+          const Tree& t = index_->Rhs(rule);
           Frame nf;
           nf.rule = callee;
           nf.call = v;
-          size_t rank = static_cast<size_t>(meta_->Rank(callee));
+          size_t rank = static_cast<size_t>(index_->Rank(callee));
           nf.size_prefix.resize(rank + 1);
           nf.occ_prefix.resize(rank + 1);
           nf.size_prefix[0] = 0;
@@ -186,10 +174,10 @@ StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
           // this call and the arguments carry none, so it is the
           // callee's first material occurrence — whose derived offset
           // is its static offset plus the sizes of the arguments
-          // preceding it (the summary's first-occurrence table).
+          // preceding it (the index's first-occurrence table).
           if (k == 1 && nf.occ_prefix[rank] == 0) {
-            if (std::optional<RuleSummary::FirstOcc> fo =
-                    summary_->FirstOccurrence(callee, want)) {
+            if (std::optional<RuleIndex::FirstOcc> fo =
+                    index_->FirstOccurrence(callee, want)) {
               shortcut = SizeSatAdd(
                   pos,
                   SizeSatAdd(
@@ -205,7 +193,7 @@ StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
         });
     if (shortcut >= 0) return shortcut;
     const Frame& f = frames.back();
-    const Tree& t = meta_->Rhs(rule);
+    const Tree& t = index_->Rhs(rule);
     LabelId l = t.label(v);
     if (l == want) {
       if (k == 1) return pos + 1;

@@ -11,9 +11,9 @@
 // sizes tell it which child subtree covers the requested position.
 //
 // The per-rule facts the descent needs — static sizes, parameter
-// intervals, first-occurrence offsets — come from the shared
-// RuleSummary layer (grammar/rule_summary.h), built once per snapshot
-// and shared with the cursor and the query engine; with per-call
+// intervals, first-occurrence offsets — come from the version's
+// RuleIndex (grammar/rule_index.h), built once per snapshot and
+// shared with the cursor and the query engine; with per-call
 // prefix sums over the actual argument sizes, the derived size of any
 // body node in context is O(1):
 //   derived(v | args) = static_size[v] + sum(args[lo..hi]).
@@ -23,45 +23,36 @@
 // (one O(|G|) pass per query) and then descends the same way — both
 // sub-linear in the document, neither touching the grammar. When the
 // remaining target is the first occurrence inside a call whose
-// arguments carry none, the summary's first-occurrence offset finishes
+// arguments carry none, the index's first-occurrence offset finishes
 // the descent in O(1) instead of walking the rest of the spine.
 //
 // All sizes saturate at kSizeCap (value.h); positions beyond the cap
 // are not addressable, matching every other size computation in the
 // library.
 //
-// A SnapshotNav borrows the grammar, a with-sizes RuleMeta and a
-// RuleSummary built from them, and must be discarded after any
-// mutation — GrammarSnapshot (service/) bundles all of them with
-// shared ownership. The two-argument constructor builds (and owns) the
-// summary itself, for standalone use. Queries are const and touch no
-// mutable state, so any number of threads may query one instance
+// A SnapshotNav borrows the grammar and its RuleIndex, and must be
+// discarded after any mutation — GrammarSnapshot (service/) bundles
+// both with shared ownership. Queries are const and touch no mutable
+// state, so any number of threads may query one instance
 // concurrently.
 
 #ifndef SLG_CORE_SNAPSHOT_NAV_H_
 #define SLG_CORE_SNAPSHOT_NAV_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/grammar/grammar.h"
-#include "src/grammar/rule_meta.h"
-#include "src/grammar/rule_summary.h"
+#include "src/grammar/rule_index.h"
 
 namespace slg {
 
 class SnapshotNav {
  public:
-  // Borrows g, meta and summary (with-sizes snapshots of *g) for its
-  // lifetime; does no per-construction work of its own.
-  SnapshotNav(const Grammar* g, const RuleMeta* meta,
-              const RuleSummary* summary);
-
-  // Convenience: builds and owns the RuleSummary (one bottom-up pass
-  // per rule body).
-  SnapshotNav(const Grammar* g, const RuleMeta* meta);
+  // Borrows g and index (the RuleIndex of *g) for its lifetime; does
+  // no per-construction work of its own.
+  SnapshotNav(const Grammar* g, const RuleIndex* index);
 
   SnapshotNav(SnapshotNav&&) = default;
   SnapshotNav& operator=(SnapshotNav&&) = default;
@@ -94,7 +85,7 @@ class SnapshotNav {
 
   // derived(v | frame's arguments) for a body node of frame.rule.
   int64_t DerivedIn(const Frame& f, NodeId v) const {
-    return summary_->DerivedIn(f.rule, v, f.size_prefix);
+    return index_->DerivedIn(f.rule, v, f.size_prefix);
   }
 
   // Per-rule occurrence counts of `want` (occ[l] = occurrences in
@@ -108,14 +99,12 @@ class SnapshotNav {
   };
   void BuildOccIndex(LabelId want, OccIndex* occ) const;
   int64_t OccIn(const OccIndex& occ, const Frame& f, NodeId v) const {
-    return summary_->InContext(
+    return index_->InContext(
         f.rule, v, occ.static_occ[static_cast<size_t>(f.rule)], f.occ_prefix);
   }
 
   const Grammar* g_;
-  const RuleMeta* meta_;
-  std::shared_ptr<const RuleSummary> owned_summary_;  // two-arg ctor only
-  const RuleSummary* summary_;
+  const RuleIndex* index_;
   int64_t derived_size_ = 0;
 };
 

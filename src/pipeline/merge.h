@@ -17,10 +17,10 @@
 // The result is valid (Validate passes) and val(G) is the partition's
 // source tree, but digrams that straddled shard boundaries are still
 // unreplaced — that is the final cross-shard GrammarRePair's job (see
-// sharded_compressor.h and docs/PIPELINE.md). Any RuleMeta snapshot a
-// consumer holds for the shard grammars is meaningless for the merged
-// grammar: ids were renumbered, so metadata must be rebuilt from the
-// merge result (consumers build it from the grammar they hold, so this
+// sharded_compressor.h and docs/PIPELINE.md). Any RuleIndex a consumer
+// holds for the shard grammars is meaningless for the merged grammar:
+// ids were renumbered, so the index must be built from the merge
+// result (consumers build it from the grammar they hold, so this
 // happens naturally).
 
 #ifndef SLG_PIPELINE_MERGE_H_

@@ -23,16 +23,14 @@ struct MemoEntry {
 
 class Evaluator {
  public:
-  Evaluator(const Grammar& g, const RuleMeta& meta, const RuleSummary& sum,
-            const QueryPlan& plan, const std::vector<LabelId>& bound,
-            bool need_matches)
+  Evaluator(const Grammar& g, const RuleIndex& index, const QueryPlan& plan,
+            const std::vector<LabelId>& bound, bool need_matches)
       : g_(g),
-        meta_(meta),
-        sum_(sum),
+        index_(index),
         plan_(plan),
         bound_(bound),
         need_matches_(need_matches),
-        memo_(static_cast<size_t>(sum.num_labels())) {}
+        memo_(static_cast<size_t>(index.num_labels())) {}
 
   const QueryStats& stats() const { return stats_; }
 
@@ -61,7 +59,7 @@ class Evaluator {
 
   // Self-reproducing dead context: only descendant states, none of
   // whose pending predicates can fire anywhere in the rule's material
-  // (per the summary's label filter — no false negatives). Such a
+  // (per the index's label filter — no false negatives). Such a
   // call contributes zero matches and hands every argument the same
   // context, so it needs no memo entry at all.
   bool CanPrune(LabelId rule, uint64_t ctx) const {
@@ -71,7 +69,7 @@ class Evaluator {
           static_cast<size_t>(plan_.StateStep(__builtin_ctzll(bits)));
       const QueryStep& step = plan_.query().steps[i];
       if (step.wildcard) return false;
-      if (bound_[i] != kNoLabel && sum_.MayContain(rule, bound_[i])) {
+      if (bound_[i] != kNoLabel && index_.MayContain(rule, bound_[i])) {
         return false;
       }
     }
@@ -88,12 +86,12 @@ class Evaluator {
     frames.push_back(DFrame{g_.start(), kNilNode, Lookup(g_.start(), q0),
                             {}, {}});
     LabelId rule = g_.start();
-    NodeId v = meta_.RhsRoot(rule);
+    NodeId v = index_.RhsRoot(rule);
     uint64_t cs = q0;  // context flowing at (rule, v)
     int64_t pos = 0;   // nodes strictly before the current subtree
     for (;;) {
       ResolveToTerminal(
-          meta_, rule, v,
+          index_, rule, v,
           [&]() -> std::pair<LabelId, NodeId> {
             // Parameter: resume at the call's argument. cs already
             // equals the argument's flow context — the context at the
@@ -105,7 +103,7 @@ class Evaluator {
           },
           [&](LabelId callee) {
             const DFrame& f = frames.back();
-            const Tree& t = meta_.Rhs(rule);
+            const Tree& t = index_.Rhs(rule);
             DFrame nf;
             nf.rule = callee;
             nf.call = v;
@@ -115,7 +113,7 @@ class Evaluator {
               SLG_CHECK_MSG(nf.entry != nullptr,
                             "descent reached an unevaluated context");
             }
-            size_t rank = static_cast<size_t>(meta_.Rank(callee));
+            size_t rank = static_cast<size_t>(index_.Rank(callee));
             nf.size_prefix.resize(rank + 1);
             nf.match_prefix.resize(rank + 1);
             nf.size_prefix[0] = 0;
@@ -123,8 +121,9 @@ class Evaluator {
             size_t j = 0;
             for (NodeId c = t.first_child(v); c != kNilNode;
                  c = t.next_sibling(c)) {
-              nf.size_prefix[j + 1] = SizeSatAdd(
-                  nf.size_prefix[j], sum_.DerivedIn(f.rule, c, f.size_prefix));
+              nf.size_prefix[j + 1] =
+                  SizeSatAdd(nf.size_prefix[j],
+                             index_.DerivedIn(f.rule, c, f.size_prefix));
               nf.match_prefix[j + 1] =
                   SizeSatAdd(nf.match_prefix[j], MatchIn(f, c));
               ++j;
@@ -133,7 +132,7 @@ class Evaluator {
             return true;
           });
       const DFrame& f = frames.back();
-      const Tree& t = meta_.Rhs(rule);
+      const Tree& t = index_.Rhs(rule);
       LabelId l = t.label(v);
       uint64_t own = plan_.Own(cs, l, bound_);
       if ((own & plan_.AcceptBit()) != 0) {
@@ -154,7 +153,7 @@ class Evaluator {
           break;
         }
         k -= mc;
-        pos = SizeSatAdd(pos, sum_.DerivedIn(f.rule, c, f.size_prefix));
+        pos = SizeSatAdd(pos, index_.DerivedIn(f.rule, c, f.size_prefix));
       }
       SLG_CHECK_MSG(next != kNilNode, "match counts inconsistent in descent");
       v = next;
@@ -193,7 +192,7 @@ class Evaluator {
     static const std::vector<int64_t> kNoMatches;
     const std::vector<int64_t>& m =
         f.entry != nullptr ? f.entry->matches : kNoMatches;
-    return sum_.InContext(f.rule, c, m, f.match_prefix);
+    return index_.InContext(f.rule, c, m, f.match_prefix);
   }
 
   // One forward-then-backward pass over the rule body under context
@@ -201,20 +200,20 @@ class Evaluator {
   // is not memoized yet; the missing pairs are reported for the
   // worklist and the deeper contexts they unblock surface on retry.
   bool TryEval(LabelId r, uint64_t q, std::vector<Job>* missing) {
-    const Tree& t = meta_.Rhs(r);
+    const Tree& t = index_.Rhs(r);
     std::vector<NodeId> order = t.Preorder();
     NodeId max_id = 0;
     for (NodeId v : order) max_id = std::max(max_id, v);
     std::vector<uint64_t> ctx(static_cast<size_t>(max_id) + 1, 0);
     std::vector<int64_t> contrib(static_cast<size_t>(max_id) + 1, 0);
-    ctx[static_cast<size_t>(meta_.RhsRoot(r))] = q;
+    ctx[static_cast<size_t>(index_.RhsRoot(r))] = q;
     bool complete = true;
     int64_t local_hits = 0;
     for (NodeId v : order) {
       uint64_t u = ctx[static_cast<size_t>(v)];
       LabelId l = t.label(v);
-      if (meta_.ParamIndex(l) > 0) continue;
-      if (meta_.IsNonterminal(l)) {
+      if (index_.ParamIndex(l) > 0) continue;
+      if (index_.IsNonterminal(l)) {
         uint64_t arg_default = 0;
         if (u != 0) {
           if (CanPrune(l, u)) {
@@ -259,7 +258,7 @@ class Evaluator {
     }
     if (!complete) return false;
     // Bottom-up material match counts; parameters hold zero — callers
-    // add argument counts through the summary's parameter intervals.
+    // add argument counts through the index's parameter intervals.
     std::vector<int64_t> nm(static_cast<size_t>(max_id) + 1, 0);
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       NodeId v = *it;
@@ -270,12 +269,12 @@ class Evaluator {
       nm[static_cast<size_t>(v)] = n;
     }
     MemoEntry e;
-    e.count = nm[static_cast<size_t>(meta_.RhsRoot(r))];
-    int rank = meta_.Rank(r);
+    e.count = nm[static_cast<size_t>(index_.RhsRoot(r))];
+    int rank = index_.Rank(r);
     e.exits.resize(static_cast<size_t>(rank));
     for (int j = 1; j <= rank; ++j) {
       e.exits[static_cast<size_t>(j - 1)] =
-          ctx[static_cast<size_t>(meta_.ParamNode(r, j))];
+          ctx[static_cast<size_t>(index_.ParamNode(r, j))];
     }
     if (need_matches_) e.matches = std::move(nm);
     auto& m = memo_[static_cast<size_t>(r)];
@@ -287,8 +286,7 @@ class Evaluator {
   }
 
   const Grammar& g_;
-  const RuleMeta& meta_;
-  const RuleSummary& sum_;
+  const RuleIndex& index_;
   const QueryPlan& plan_;
   const std::vector<LabelId>& bound_;
   bool need_matches_;
@@ -330,8 +328,7 @@ StatusOr<QueryResult> QueryEngine::Run(const QueryPlan& plan) const {
     if (positional_agg) return Status::NotFound("query has no matches");
     return res;
   }
-  Evaluator ev(*g_, *meta_, *summary_, plan, bound,
-               /*need_matches=*/positional_agg);
+  Evaluator ev(*g_, *index_, plan, bound, /*need_matches=*/positional_agg);
   const MemoEntry* top = ev.Ensure(g_->start(), plan.InitialContext());
   res.count = top->count;
   res.exists = top->count > 0;

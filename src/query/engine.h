@@ -10,7 +10,7 @@
 // distinct context it is reached under, memoizing per (rule, ctx):
 //   * count     — query matches in the rule's material (arguments
 //                 excluded; callers add those through the parameter
-//                 intervals of the shared RuleSummary),
+//                 intervals of the shared RuleIndex),
 //   * exits     — the context flowing out at each parameter node,
 //                 which is the context of the corresponding argument
 //                 at every instantiation,
@@ -48,8 +48,7 @@
 
 #include "src/common/status.h"
 #include "src/grammar/grammar.h"
-#include "src/grammar/rule_meta.h"
-#include "src/grammar/rule_summary.h"
+#include "src/grammar/rule_index.h"
 #include "src/query/plan.h"
 #include "src/query/query.h"
 
@@ -74,12 +73,18 @@ struct QueryResult {
 
 class QueryEngine {
  public:
-  // Borrows g, meta (with sizes) and summary for its lifetime —
-  // GrammarSnapshot bundles all three. Stateless between runs; any
-  // number of threads may Run() on one instance concurrently.
-  QueryEngine(const Grammar* g, const RuleMeta* meta,
-              const RuleSummary* summary)
-      : g_(g), meta_(meta), summary_(summary) {}
+  // Borrows g and its RuleIndex for its lifetime — GrammarSnapshot
+  // bundles both. Stateless between runs; any number of threads may
+  // Run() on one instance concurrently.
+  QueryEngine(const Grammar* g, const RuleIndex* index)
+      : g_(g), index_(index) {}
+
+  // perfbench/lifecycle.cc calls this; remove at the next benchmark change.
+  QueryEngine(const Grammar* g, const RuleIndex* meta,
+              const RuleIndex* summary)
+      : QueryEngine(g, meta) {
+    SLG_CHECK_MSG(meta == summary, "QueryEngine takes one RuleIndex");
+  }
 
   StatusOr<QueryResult> Run(std::string_view query) const;
   StatusOr<QueryResult> Run(const Query& query) const;
@@ -87,8 +92,7 @@ class QueryEngine {
 
  private:
   const Grammar* g_;
-  const RuleMeta* meta_;
-  const RuleSummary* summary_;
+  const RuleIndex* index_;
 };
 
 }  // namespace slg

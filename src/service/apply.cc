@@ -15,9 +15,7 @@ StatusOr<std::shared_ptr<const GrammarSnapshot>> ApplyEncodedBatch(
   Grammar g = parent.grammar().Clone();
   std::vector<UpdateOp> ops;
   SLG_RETURN_IF_ERROR(DecodeBatch(encoded, &g.labels(), &ops));
-  BatchUpdater bu(&g, *parent.meta(),
-                  parent.summary()->StaticSizes(g.start()),
-                  parent.summary()->StartCalls(g.start()));
+  BatchUpdater bu(&g, parent.index().get());
   for (const UpdateOp& op : ops) SLG_RETURN_IF_ERROR(bu.Apply(op));
   effects->damage = bu.DamagedRules();
   effects->edges_added = bu.EdgesAdded();

@@ -14,7 +14,7 @@ namespace slg {
 
 namespace {
 
-// What a child grammar cannot take from its parent's indexes.
+// What a child grammar cannot take from its parent's index.
 struct RuleDelta {
   std::vector<LabelId> rebuilt;  // callees first
   std::vector<LabelId> removed;  // parent's rules the child dropped
@@ -59,37 +59,30 @@ RuleDelta DiffRules(const Grammar& parent, const Grammar& child) {
 }  // namespace
 
 GrammarSnapshot::GrammarSnapshot(Grammar g,
-                                 std::shared_ptr<const RuleMeta> meta,
-                                 std::shared_ptr<const RuleSummary> summary,
+                                 std::shared_ptr<const RuleIndex> index,
                                  int64_t version)
     : g_(std::move(g)),
-      meta_(std::move(meta)),
-      summary_(std::move(summary)),
-      nav_(&g_, meta_.get(), summary_.get()),
+      index_(std::move(index)),
+      nav_(&g_, index_.get()),
       version_(version),
-      edges_(summary_->EdgeCount()),
-      element_count_(summary_->DerivedElementCount()) {}
+      edges_(index_->EdgeCount()),
+      element_count_(index_->DerivedElementCount()) {}
 
 std::shared_ptr<const GrammarSnapshot> GrammarSnapshot::Make(Grammar g,
                                                              int64_t version) {
-  auto meta =
-      std::make_shared<const RuleMeta>(RuleMeta::Build(g, /*with_sizes=*/true));
-  auto summary = std::make_shared<const RuleSummary>(RuleSummary::Build(g, *meta));
-  return std::shared_ptr<const GrammarSnapshot>(new GrammarSnapshot(
-      std::move(g), std::move(meta), std::move(summary), version));
+  auto index = std::make_shared<const RuleIndex>(RuleIndex::Build(g));
+  return std::shared_ptr<const GrammarSnapshot>(
+      new GrammarSnapshot(std::move(g), std::move(index), version));
 }
 
 std::shared_ptr<const GrammarSnapshot> GrammarSnapshot::Derive(
     const GrammarSnapshot& parent, Grammar g, int64_t version,
     std::vector<int64_t> start_sizes) {
   RuleDelta d = DiffRules(parent.g_, g);
-  auto meta = std::make_shared<const RuleMeta>(RuleMeta::Derive(
-      *parent.meta_, g, d.rebuilt, d.removed, start_sizes));
-  auto summary = std::make_shared<const RuleSummary>(
-      RuleSummary::Derive(*parent.summary_, g, *meta, d.rebuilt, d.removed,
-                          std::move(start_sizes)));
-  return std::shared_ptr<const GrammarSnapshot>(new GrammarSnapshot(
-      std::move(g), std::move(meta), std::move(summary), version));
+  auto index = std::make_shared<const RuleIndex>(RuleIndex::Derive(
+      *parent.index_, g, d.rebuilt, d.removed, std::move(start_sizes)));
+  return std::shared_ptr<const GrammarSnapshot>(
+      new GrammarSnapshot(std::move(g), std::move(index), version));
 }
 
 StatusOr<std::string> GrammarSnapshot::LabelAt(int64_t preorder) const {
@@ -109,11 +102,11 @@ StatusOr<int64_t> GrammarSnapshot::FindElement(std::string_view tag,
 }
 
 StatusOr<QueryResult> GrammarSnapshot::RunQuery(std::string_view query) const {
-  return QueryEngine(&g_, meta_.get(), summary_.get()).Run(query);
+  return QueryEngine(&g_, index_.get()).Run(query);
 }
 
 StatusOr<QueryResult> GrammarSnapshot::RunQuery(const Query& query) const {
-  return QueryEngine(&g_, meta_.get(), summary_.get()).Run(query);
+  return QueryEngine(&g_, index_.get()).Run(query);
 }
 
 StatusOr<std::string> GrammarSnapshot::ToXml(bool pretty) const {
@@ -127,7 +120,7 @@ StatusOr<std::string> GrammarSnapshot::ToXml(bool pretty) const {
 }
 
 GrammarCursor GrammarSnapshot::Cursor() const {
-  return GrammarCursor(&g_, meta_);
+  return GrammarCursor(&g_, index_);
 }
 
 StatusOr<std::shared_ptr<const GrammarSnapshot>> CompressXmlToSnapshot(

@@ -3,18 +3,18 @@
 //
 // The concurrency story of the whole service layer rests on one
 // invariant: a GrammarSnapshot never changes after construction. It
-// bundles a Grammar with everything reads need — a with-sizes RuleMeta
-// (cursor navigation), a SnapshotNav (derived-position queries) and
-// cached document statistics — all built eagerly inside Make() or
-// Derive() before the shared_ptr ever escapes, so no reader can
-// observe a half-initialized index and no query path touches mutable
-// state.
+// bundles a Grammar with everything reads need — its RuleIndex (cursor
+// navigation, the query engine, a write's seed), a SnapshotNav
+// (derived-position queries) and cached document statistics — all
+// built eagerly inside Make() or Derive() before the shared_ptr ever
+// escapes, so no reader can observe a half-initialized index and no
+// query path touches mutable state.
 // Any number of threads may call the const query methods concurrently.
 //
 // A snapshot is built from scratch (Make: ingest, a loaded grammar) or
 // derived from its parent (Derive: every applied batch and merge). The
 // child's grammar is a Clone() of the parent's, so it shares every
-// rule body the edit did not touch, and its indexes share those rules'
+// rule body the edit did not touch, and its index shares those rules'
 // entries: a write costs O(start rule + labels), not O(|G|).
 //
 // Lifetime is plain shared_ptr reference counting: a reader that
@@ -42,8 +42,7 @@
 #include "src/core/cursor.h"
 #include "src/core/snapshot_nav.h"
 #include "src/grammar/grammar.h"
-#include "src/grammar/rule_meta.h"
-#include "src/grammar/rule_summary.h"
+#include "src/grammar/rule_index.h"
 #include "src/query/engine.h"
 
 namespace slg {
@@ -51,14 +50,14 @@ namespace slg {
 class GrammarSnapshot {
  public:
   // Takes ownership of g (which must be a valid binary-XML grammar —
-  // factories validate before calling) and builds every index.
+  // factories validate before calling) and builds its index.
   // `version` is the publisher's sequence number — the service stamps
   // the count of acknowledged batches the snapshot reflects.
   static std::shared_ptr<const GrammarSnapshot> Make(Grammar g,
                                                      int64_t version = 0);
 
   // The snapshot of g, a Clone() of parent.grammar() that was edited
-  // since, built from parent's indexes: rules whose bodies g still
+  // since, built from parent's index: rules whose bodies g still
   // shares with parent (and whose callees kept theirs) keep their
   // entries; only the others are rebuilt. Equal to Make(g, version) in
   // every answer. `start_sizes`, when non-empty, are the static sizes
@@ -67,16 +66,17 @@ class GrammarSnapshot {
       const GrammarSnapshot& parent, Grammar g, int64_t version,
       std::vector<int64_t> start_sizes = {});
 
-  // The indexes hold pointers into the owned grammar: the object is
+  // The index holds pointers into the owned grammar: the object is
   // pinned — heap-allocate via Make and share the pointer.
   GrammarSnapshot(const GrammarSnapshot&) = delete;
   GrammarSnapshot& operator=(const GrammarSnapshot&) = delete;
 
   const Grammar& grammar() const { return g_; }
-  const std::shared_ptr<const RuleMeta>& meta() const { return meta_; }
-  const std::shared_ptr<const RuleSummary>& summary() const {
-    return summary_;
-  }
+  const std::shared_ptr<const RuleIndex>& index() const { return index_; }
+  // perfbench/lifecycle.cc calls this; remove at the next benchmark change.
+  const std::shared_ptr<const RuleIndex>& meta() const { return index_; }
+  // perfbench/lifecycle.cc calls this; remove at the next benchmark change.
+  const std::shared_ptr<const RuleIndex>& summary() const { return index_; }
   const SnapshotNav& nav() const { return nav_; }
 
   int64_t version() const { return version_; }
@@ -107,22 +107,20 @@ class GrammarSnapshot {
   // Serialized document (materializes the tree once).
   StatusOr<std::string> ToXml(bool pretty = false) const;
 
-  // Cursor over this version, sharing the snapshot's RuleMeta. The
+  // Cursor over this version, sharing the snapshot's RuleIndex. The
   // cursor borrows the grammar: keep the snapshot pointer alive for
   // the cursor's lifetime.
   GrammarCursor Cursor() const;
 
  private:
-  // The indexes must be snapshots of g (they point at its rule bodies,
-  // which stay put when the grammar object moves).
-  GrammarSnapshot(Grammar g, std::shared_ptr<const RuleMeta> meta,
-                  std::shared_ptr<const RuleSummary> summary,
+  // The index must be g's (it points at g's rule bodies, which stay
+  // put when the grammar object moves).
+  GrammarSnapshot(Grammar g, std::shared_ptr<const RuleIndex> index,
                   int64_t version);
 
   Grammar g_;
-  std::shared_ptr<const RuleMeta> meta_;  // with_sizes, built over g_
-  std::shared_ptr<const RuleSummary> summary_;  // built over g_ and *meta_
-  SnapshotNav nav_;  // borrows g_, *meta_ and *summary_
+  std::shared_ptr<const RuleIndex> index_;  // built over g_
+  SnapshotNav nav_;  // borrows g_ and *index_
   int64_t version_ = 0;
   int64_t edges_ = 0;
   int64_t element_count_ = 0;

@@ -7,22 +7,20 @@
 #include "src/grammar/inliner.h"
 #include "src/grammar/stats.h"
 #include "src/grammar/value.h"
-#include "src/update/navigation.h"
 #include "src/update/update_ops.h"
 
 namespace slg {
 
-void BatchUpdater::EnsureSnapshot() {
-  if (!have_snapshot_) {
-    meta_ = RuleMeta::Build(*g_, /*with_sizes=*/true);
-    const Tree& t = g_->rhs(g_->start());
-    derived_ = DerivedSubtreeSizes(t, meta_);
-    start_calls_.assign(static_cast<size_t>(meta_.num_labels()), 0);
-    CountStartCalls(t, t.root(), +1);
-    have_snapshot_ = true;
-  } else if (meta_.num_labels() < g_->labels().size()) {
-    meta_.ExtendForNewLabels(*g_);
-  }
+void BatchUpdater::Seed(const RuleIndex* index) {
+  index_ = index;
+  derived_ = index->StaticSizes(g_->start());
+  start_calls_ = index->StartCalls(g_->start());
+}
+
+void BatchUpdater::EnsureIndex() {
+  if (index_ != nullptr) return;
+  owned_ = std::make_unique<const RuleIndex>(RuleIndex::Build(*g_));
+  Seed(owned_.get());
 }
 
 void BatchUpdater::NoteDamage(LabelId rule) {
@@ -49,7 +47,7 @@ void BatchUpdater::ComputeDerivedFresh(NodeId subtree_root) {
   derived_.resize(static_cast<size_t>(max_id) + 1, 0);
   for (auto it = fresh.rbegin(); it != fresh.rend(); ++it) {
     NodeId u = *it;
-    int64_t n = meta_.SegTotal(t.label(u));
+    int64_t n = SegTotal(t.label(u));
     for (NodeId c = t.first_child(u); c != kNilNode; c = t.next_sibling(c)) {
       n = SizeSatAdd(n, derived_of(c));
     }
@@ -60,7 +58,7 @@ void BatchUpdater::ComputeDerivedFresh(NodeId subtree_root) {
 void BatchUpdater::RecomputeUpward(NodeId from) {
   Tree& t = g_->mutable_rhs(g_->start());
   for (NodeId p = from; p != kNilNode; p = t.parent(p)) {
-    int64_t n = meta_.SegTotal(t.label(p));
+    int64_t n = SegTotal(t.label(p));
     for (NodeId c = t.first_child(p); c != kNilNode; c = t.next_sibling(c)) {
       n = SizeSatAdd(n, derived_of(c));
     }
@@ -72,7 +70,7 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
   if (preorder < 1) {
     return Status::OutOfRange("preorder positions are 1-based");
   }
-  EnsureSnapshot();
+  EnsureIndex();
   Tree& t = g_->mutable_rhs(g_->start());
   if (preorder > derived_of(t.root())) {
     return Status::OutOfRange("preorder position " + std::to_string(preorder) +
@@ -81,13 +79,13 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
   }
 
   // Same descent as IsolateNode (path_isolation.cc), against the
-  // batch-shared snapshot and size table instead of per-call rebuilds.
+  // batch's index and size table instead of per-call rebuilds.
   NodeId v = t.root();
   int64_t k = preorder;  // target is the k-th node of v's derived subtree
   for (;;) {
     LabelId l = t.label(v);
-    SLG_CHECK(meta_.ParamIndex(l) == 0);
-    if (!meta_.IsNonterminal(l)) {
+    SLG_CHECK(l >= index_->num_labels() || index_->ParamIndex(l) == 0);
+    if (!IsRule(l)) {
       if (k == 1) return v;
       k -= 1;
       NodeId c = t.first_child(v);
@@ -100,13 +98,13 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
       v = c;
       continue;
     }
-    int rank = meta_.Rank(l);
+    int rank = index_->Rank(l);
     int64_t k2 = k;
     NodeId arg = t.first_child(v);
     NodeId descend = kNilNode;
     for (int i = 0; i < rank && arg != kNilNode;
          ++i, arg = t.next_sibling(arg)) {
-      int64_t body_seg = meta_.SegSize(l, i);
+      int64_t body_seg = index_->SegSize(l, i);
       if (k2 <= body_seg) break;  // inside the body: inline
       k2 -= body_seg;
       int64_t n = derived_of(arg);
@@ -156,7 +154,6 @@ Status BatchUpdater::Rename(int64_t preorder, std::string_view new_label) {
   }
   LabelId nl =
       existing != kNoLabel ? existing : g_->labels().Intern(new_label, 2);
-  meta_.ExtendForNewLabels(*g_);
   // Old and new labels are both rank-2 terminals (SegTotal 1): no
   // derived size changes.
   t.set_label(u.value(), nl);
@@ -186,8 +183,6 @@ Status BatchUpdater::InsertBefore(int64_t preorder, const Tree& s) {
     return Status::InvalidArgument(
         "insert fragment's rightmost leaf is not ⊥");
   }
-  // The fragment may carry labels interned after the snapshot.
-  meta_.ExtendForNewLabels(*g_);
   // Sizes of the copy, with the ⊥ hole still in place; the splice
   // below is repaired by one upward pass.
   ComputeDerivedFresh(copy);
@@ -267,19 +262,19 @@ Status BatchUpdater::Apply(const UpdateOp& op) {
 }
 
 int BatchUpdater::Finish() {
-  if (!have_snapshot_) return CollectGarbageRules(g_);
-  // Every rule's call sites: outside the start rule as the snapshot
+  if (index_ == nullptr) return CollectGarbageRules(g_);
+  // Every rule's call sites: outside the start rule as the index
   // counted them (the batch edited nothing else), inside it as the
   // edits left them.
   std::vector<int32_t> refs(static_cast<size_t>(g_->labels().size()), 0);
   for (size_t l = 0; l < start_calls_.size(); ++l) refs[l] = start_calls_[l];
-  for (LabelId l = 0; l < meta_.num_labels(); ++l) {
-    refs[static_cast<size_t>(l)] += meta_.OuterRefs(l);
+  for (LabelId l = 0; l < index_->num_labels(); ++l) {
+    refs[static_cast<size_t>(l)] += index_->OuterRefs(l);
   }
-  // Drop the snapshot first: it borrows rhs trees that garbage
+  // Drop the index first: an owned one borrows rhs trees that garbage
   // collection may remove.
-  have_snapshot_ = false;
-  meta_ = RuleMeta();
+  index_ = nullptr;
+  owned_.reset();
   derived_.clear();
   derived_.shrink_to_fit();
   start_calls_.clear();

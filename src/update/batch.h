@@ -1,38 +1,42 @@
 // Batched update engine (paper §V-C macro loop, amortized).
 //
-// The atomic operations in update_ops.h pay a full with-sizes RuleMeta
-// snapshot + derived-size pass per call, and DeleteSubtree garbage
-// collects after every single delete. Applying a workload through a
-// BatchUpdater instead amortizes all of that across the batch:
+// The atomic operations in update_ops.h pay a full RuleIndex build per
+// call, and DeleteSubtree garbage collects after every single delete.
+// Applying a workload through a BatchUpdater instead amortizes all of
+// that across the batch:
 //
-//  * one shared with-sizes RuleMeta snapshot, kept for the whole
-//    batch — rule-set shape never changes between operations
+//  * one RuleIndex of the grammar as the batch found it, read for the
+//    whole batch — rule-set shape never changes between operations
 //    (isolation only inlines into the start rule's interior; garbage
-//    collection is deferred), so the snapshot only ever needs cheap
-//    appends when a rename interns a fresh label
-//    (RuleMeta::ExtendForNewLabels). A seeded updater takes it, and
-//    the start rule's size table below, from the snapshot the grammar
-//    was cloned from; an unseeded one builds both on the first
-//    operation;
+//    collection is deferred), so the index stays valid for every rule.
+//    Labels at or past its num_labels() can only be terminals the
+//    batch interned (rename targets, insert fragments): the updater
+//    reads them as such (SegTotal 1, no rule, no parameter). A seeded
+//    updater borrows the index of the snapshot the grammar was cloned
+//    from; an unseeded one builds one on the first operation. Either
+//    way the updater seeds itself from it the same way (the start
+//    rule's static sizes and call counts, RuleIndex::StaticSizes /
+//    StartCalls);
 //  * the derived-subtree-size table of the start rule is maintained
 //    incrementally: an edit recomputes the sizes of the fresh nodes it
 //    introduces plus the root-to-edit-point spine, O(depth) instead of
 //    O(|rhs|) per operation;
 //  * garbage collection runs once, in Finish(), instead of per
 //    delete — and from call counts the batch keeps current (the
-//    snapshot's counts outside the start rule plus the start rule's
+//    index's counts outside the start rule plus the start rule's
 //    own, adjusted by every inline and delete), so it costs the rules
 //    it visits, not a pass over the grammar.
 //
 // The sequence of tree edits is identical to applying the operations
-// one at a time — only snapshot reuse and garbage-collection timing
-// are amortized — so the resulting grammar derives the same document
+// one at a time — only index reuse and garbage-collection timing are
+// amortized — so the resulting grammar derives the same document
 // (tests assert the grammars are in fact identical).
 
 #ifndef SLG_UPDATE_BATCH_H_
 #define SLG_UPDATE_BATCH_H_
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <unordered_set>
 #include <utility>
@@ -41,7 +45,7 @@
 #include "src/common/status.h"
 #include "src/core/grammar_repair.h"
 #include "src/grammar/grammar.h"
-#include "src/grammar/rule_meta.h"
+#include "src/grammar/rule_index.h"
 #include "src/workload/update_workload.h"
 
 namespace slg {
@@ -53,22 +57,14 @@ class BatchUpdater {
   // through this updater.
   explicit BatchUpdater(Grammar* g) : g_(g) {}
 
-  // Seeded: `meta` is a with-sizes RuleMeta of *g as it stands, and
-  // `start_sizes` / `start_calls` the static sizes of its start rule's
-  // nodes by NodeId and the call sites of each rule in it by LabelId
-  // (RuleSummary::StaticSizes / StartCalls) — what the snapshot g was
-  // cloned from already holds — so the updater builds none of them.
-  BatchUpdater(Grammar* g, RuleMeta meta, std::vector<int64_t> start_sizes,
-               std::vector<int32_t> start_calls)
-      : g_(g),
-        have_snapshot_(true),
-        meta_(std::move(meta)),
-        derived_(std::move(start_sizes)),
-        start_calls_(std::move(start_calls)) {}
+  // Seeded: borrows `index`, the RuleIndex of *g as it stands (that of
+  // the snapshot g was cloned from), until Finish(), so the updater
+  // builds nothing.
+  BatchUpdater(Grammar* g, const RuleIndex* index) : g_(g) { Seed(index); }
 
   // Same semantics (and same edit sequence on the start rule) as
   // RenameNode / InsertTreeBefore / DeleteSubtree in update_ops.h,
-  // minus the per-operation snapshot and garbage-collection costs.
+  // minus the per-operation index and garbage-collection costs.
   Status Rename(int64_t preorder, std::string_view new_label);
   Status InsertBefore(int64_t preorder, const Tree& fragment);
   Status Delete(int64_t preorder);
@@ -78,7 +74,7 @@ class BatchUpdater {
 
   // Makes the node at `preorder` of val(G) terminally available in
   // the start rule and returns its NodeId there — path isolation
-  // against the shared snapshot. Also the batched counterpart of
+  // against the batch's index. Also the batched counterpart of
   // ReadLabel-style inspection; the atomic operations in update_ops.cc
   // are thin one-op batches over this and the edit methods above.
   StatusOr<NodeId> Isolate(int64_t preorder);
@@ -89,10 +85,10 @@ class BatchUpdater {
   // child snapshot's index.
   std::vector<int64_t> TakeStartSizes() { return std::move(derived_); }
 
-  // Ends the batch: drops the shared snapshot and garbage-collects
-  // rules stranded by deletes. Returns the number of rules removed.
-  // The updater is reusable afterwards (a new snapshot is built on the
-  // next operation). Damage accounting survives Finish() — a
+  // Ends the batch: drops the index and garbage-collects rules
+  // stranded by deletes. Returns the number of rules removed. The
+  // updater is reusable afterwards (a new index is built on the next
+  // operation). Damage accounting survives Finish() — a
   // checkpoint driver reads it after finishing and clears it with
   // ResetDamage().
   int Finish();
@@ -121,7 +117,21 @@ class BatchUpdater {
   }
 
  private:
-  void EnsureSnapshot();
+  // Reads `index` for the batch: the start rule's sizes and call
+  // counts are copied out of it.
+  void Seed(const RuleIndex* index);
+  // Builds and seeds from an index of *g_ unless the batch has one.
+  void EnsureIndex();
+
+  // Per-label facts of the index, for any label of *g_: labels past
+  // the index's table are terminals this batch interned.
+  bool IsRule(LabelId l) const {
+    return l < index_->num_labels() && index_->IsNonterminal(l);
+  }
+  int64_t SegTotal(LabelId l) const {
+    return l < index_->num_labels() ? index_->SegTotal(l) : 1;
+  }
+
   // Bottom-up derived sizes for a freshly created subtree (inlined
   // rule body or copied insert fragment).
   void ComputeDerivedFresh(NodeId subtree_root);
@@ -138,8 +148,8 @@ class BatchUpdater {
   void CountStartCalls(const Tree& t, NodeId subtree_root, int32_t delta);
 
   Grammar* g_;
-  bool have_snapshot_ = false;
-  RuleMeta meta_;
+  const RuleIndex* index_ = nullptr;     // null outside a batch
+  std::unique_ptr<const RuleIndex> owned_;  // an unseeded batch's index
   std::vector<int64_t> derived_;  // by NodeId of the start rule's rhs
   // Call sites of each rule in the start rule, by LabelId (labels past
   // its end: none).

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/common/rng.h"
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
+#include "src/grammar/rule_index.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/value.h"
 #include "src/repair/tree_repair.h"
@@ -24,12 +27,18 @@ Grammar CompressedCorpus(Corpus c) {
   return GrammarRePair(Grammar::ForTree(std::move(bin), labels), {}).grammar;
 }
 
+// A cursor at the root of val(g), sharing a fresh index of g.
+GrammarCursor CursorOver(const Grammar& g) {
+  return GrammarCursor(&g,
+                       std::make_shared<const RuleIndex>(RuleIndex::Build(g)));
+}
+
 TEST(CursorTest, RootAndBasicMoves) {
   Grammar g = GrammarFromRules({
       "S -> f(A,A)",
       "A -> a(b,c)",
   }).take();
-  GrammarCursor cur(&g);
+  GrammarCursor cur = CursorOver(g);
   EXPECT_TRUE(cur.AtRoot());
   EXPECT_EQ(cur.LabelName(), "f");
   EXPECT_EQ(cur.NumChildren(), 2);
@@ -64,7 +73,7 @@ void WalkAndCompare(const Grammar& g) {
   });
 
   std::vector<LabelId> got;
-  GrammarCursor cur(&g);
+  GrammarCursor cur = CursorOver(g);
   // Iterative preorder using Down/Right/Up only.
   for (;;) {
     got.push_back(cur.Label());
@@ -114,7 +123,7 @@ TEST(CursorTest, ElementNavigation) {
   Tree bin = EncodeBinary(xml, &labels);
   Grammar g = TreeRePair(std::move(bin), labels, {}).grammar;
 
-  GrammarCursor cur(&g);
+  GrammarCursor cur = CursorOver(g);
   EXPECT_EQ(cur.LabelName(), "log");
   ASSERT_TRUE(cur.FirstChildElement());
   EXPECT_EQ(cur.LabelName(), "e");
@@ -145,7 +154,7 @@ TEST(CursorTest, DepthTracksExponentialGrammar) {
   }
   rules.push_back("A8 -> a($1)");
   Grammar g = GrammarFromRules(rules).take();
-  GrammarCursor cur(&g);
+  GrammarCursor cur = CursorOver(g);
   int depth = 0;
   while (cur.Down(1)) ++depth;
   EXPECT_EQ(cur.Depth(), depth);

@@ -7,7 +7,7 @@
 
 #include "src/grammar/inliner.h"
 #include "src/grammar/orders.h"
-#include "src/grammar/sizes.h"
+#include "src/grammar/rule_index.h"
 #include "src/grammar/stats.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/usage.h"
@@ -214,26 +214,26 @@ TEST(SizesTest, PaperExample) {
       "A -> f($1,g(h(a,$2),g(a,$3)))",
   });
   ASSERT_TRUE(g.ok()) << g.status().ToString();
-  auto sizes = ComputeSegmentSizes(g.value());
-  const SegmentSizes& a = sizes[g.value().labels().Find("A")];
-  ASSERT_EQ(a.sizes.size(), 4u);
-  EXPECT_EQ(a.sizes[0], 1);
-  EXPECT_EQ(a.sizes[1], 3);
-  EXPECT_EQ(a.sizes[2], 2);
-  EXPECT_EQ(a.sizes[3], 0);
-  EXPECT_EQ(a.Total(), 6);
+  RuleIndex index = RuleIndex::Build(g.value());
+  LabelId a = g.value().labels().Find("A");
+  ASSERT_EQ(index.Rank(a), 3);
+  EXPECT_EQ(index.SegSize(a, 0), 1);
+  EXPECT_EQ(index.SegSize(a, 1), 3);
+  EXPECT_EQ(index.SegSize(a, 2), 2);
+  EXPECT_EQ(index.SegSize(a, 3), 0);
+  EXPECT_EQ(index.SegTotal(a), 6);
 }
 
 TEST(SizesTest, NestedCalls) {
   Grammar g = PaperGrammar();
-  auto sizes = ComputeSegmentSizes(g);
+  RuleIndex index = RuleIndex::Build(g);
   // val(S) has 15 nodes.
-  EXPECT_EQ(sizes[g.start()].Total(), 15);
+  EXPECT_EQ(index.SegTotal(g.start()), 15);
   // val(A) = a(~,a(y1,y2)): segments {3, 0, 0}.
-  const SegmentSizes& a = sizes[g.labels().Find("A")];
-  EXPECT_EQ(a.sizes[0], 3);
-  EXPECT_EQ(a.sizes[1], 0);
-  EXPECT_EQ(a.sizes[2], 0);
+  LabelId a = g.labels().Find("A");
+  EXPECT_EQ(index.SegSize(a, 0), 3);
+  EXPECT_EQ(index.SegSize(a, 1), 0);
+  EXPECT_EQ(index.SegSize(a, 2), 0);
 }
 
 TEST(ValidateTest, AcceptsPaperGrammar) {

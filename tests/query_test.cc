@@ -18,8 +18,7 @@
 
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
-#include "src/grammar/rule_meta.h"
-#include "src/grammar/rule_summary.h"
+#include "src/grammar/rule_index.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/value.h"
 #include "src/xml/binary_encoding.h"
@@ -118,17 +117,15 @@ std::vector<int64_t> OracleMatches(const Tree& t, const LabelTable& labels,
 
 struct EngineFixture {
   const Grammar& g;
-  RuleMeta meta;
-  RuleSummary summary;
+  RuleIndex index;
   Tree full;
   QueryEngine engine;
 
   explicit EngineFixture(const Grammar& grammar)
       : g(grammar),
-        meta(RuleMeta::Build(g, /*with_sizes=*/true)),
-        summary(RuleSummary::Build(g, meta)),
+        index(RuleIndex::Build(g)),
         full(Value(g).take()),
-        engine(&g, &meta, &summary) {}
+        engine(&g, &index) {}
 
   // Every label name occurring in the document.
   std::vector<std::string> MaterialNames() const {
@@ -254,9 +251,8 @@ TEST(QueryEngineTest, MemoizationBeatsDocumentSize) {
   // rules; a full count must visit each rule a constant number of
   // times, not the two million document nodes.
   Grammar g = DoublingGrammar(20);
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-  RuleSummary sum = RuleSummary::Build(g, meta);
-  QueryEngine eng(&g, &meta, &sum);
+  RuleIndex index = RuleIndex::Build(g);
+  QueryEngine eng(&g, &index);
   StatusOr<QueryResult> leaves = eng.Run("count(//a)");
   ASSERT_TRUE(leaves.ok());
   EXPECT_EQ(leaves.value().count, int64_t{1} << 20);

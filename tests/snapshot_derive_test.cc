@@ -5,12 +5,14 @@
 //  * differential — on all six corpora, after every batch of a
 //    MakeUpdateWorkload run and through a merge whose splice tail
 //    replays batches onto the merged base, the snapshot derived from
-//    its parent answers every RuleMeta / RuleSummary accessor, over
-//    all labels and all body nodes, exactly like GrammarSnapshot::Make
-//    of the same grammar — also every snapshot a DocumentService with
-//    racing merges serves;
+//    its parent answers every RuleIndex accessor, over all labels and
+//    all body nodes, exactly like GrammarSnapshot::Make of the same
+//    grammar — also every snapshot a DocumentService with racing
+//    merges serves, and every snapshot of a batch that interns labels
+//    the parent's index has never seen;
 //  * isolation — a parent's serialized grammar is unchanged by a child
-//    write, a failed batch and a merge of a clone;
+//    write, a failed batch and a merge of a clone, and its index by a
+//    write that interns labels;
 //  * concurrency — one thread clones a snapshot's grammar and repairs
 //    it while another derives children from the same snapshot (the
 //    merge thread against the writer); this is the TSan subject.
@@ -28,6 +30,7 @@
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
 #include "src/grammar/binary_format.h"
+#include "src/grammar/value.h"
 #include "src/service/apply.h"
 #include "src/service/document_service.h"
 #include "src/service/snapshot.h"
@@ -35,6 +38,7 @@
 #include "src/update/update_ops.h"
 #include "src/workload/update_workload.h"
 #include "src/xml/binary_encoding.h"
+#include "src/xml/xml_writer.h"
 
 namespace slg {
 namespace {
@@ -74,15 +78,12 @@ void ExpectSameAsMake(const GrammarSnapshot& got) {
       GrammarSnapshot::Make(got.grammar().Clone(), got.version());
   const GrammarSnapshot& want = *want_snap;
   const Grammar& g = got.grammar();
-  const RuleMeta& gm = *got.meta();
-  const RuleMeta& wm = *want.meta();
-  const RuleSummary& gs = *got.summary();
-  const RuleSummary& ws = *want.summary();
+  const RuleIndex& gs = *got.index();
+  const RuleIndex& ws = *want.index();
 
   EXPECT_EQ(got.edges(), want.edges());
   EXPECT_EQ(got.node_count(), want.node_count());
   EXPECT_EQ(got.element_count(), want.element_count());
-  ASSERT_EQ(gm.num_labels(), wm.num_labels());
   ASSERT_EQ(gs.num_labels(), ws.num_labels());
   EXPECT_EQ(gs.DerivedSize(), ws.DerivedSize());
   EXPECT_EQ(gs.DerivedElementCount(), ws.DerivedElementCount());
@@ -95,25 +96,24 @@ void ExpectSameAsMake(const GrammarSnapshot& got) {
   gc.resize(wc.size(), 0);
   EXPECT_EQ(gc, wc);
 
-  const LabelId n = static_cast<LabelId>(gm.num_labels());
+  const LabelId n = static_cast<LabelId>(gs.num_labels());
   for (LabelId l = 0; l < n; ++l) {
-    ASSERT_EQ(gm.IsNonterminal(l), wm.IsNonterminal(l)) << l;
-    ASSERT_EQ(gm.Rank(l), wm.Rank(l)) << l;
-    ASSERT_EQ(gm.ParamIndex(l), wm.ParamIndex(l)) << l;
-    ASSERT_EQ(gm.SegTotal(l), wm.SegTotal(l)) << l;
-    if (!gm.IsNonterminal(l)) continue;
-    ASSERT_EQ(gm.OuterRefs(l), wm.OuterRefs(l)) << l;
+    ASSERT_EQ(gs.IsNonterminal(l), ws.IsNonterminal(l)) << l;
+    ASSERT_EQ(gs.Rank(l), ws.Rank(l)) << l;
+    ASSERT_EQ(gs.ParamIndex(l), ws.ParamIndex(l)) << l;
+    ASSERT_EQ(gs.SegTotal(l), ws.SegTotal(l)) << l;
+    ASSERT_EQ(gs.OuterRefs(l), ws.OuterRefs(l)) << l;
+    if (!gs.IsNonterminal(l)) continue;
     // Both index the grammar's own (shared) body objects.
-    ASSERT_EQ(&gm.Rhs(l), &g.rhs(l)) << l;
-    ASSERT_EQ(&wm.Rhs(l), &g.rhs(l)) << l;
-    ASSERT_EQ(gm.RhsRoot(l), wm.RhsRoot(l)) << l;
-    for (int j = 1; j <= gm.Rank(l); ++j) {
-      ASSERT_EQ(gm.ParamNode(l, j), wm.ParamNode(l, j)) << l;
+    ASSERT_EQ(&gs.Rhs(l), &g.rhs(l)) << l;
+    ASSERT_EQ(&ws.Rhs(l), &g.rhs(l)) << l;
+    ASSERT_EQ(gs.RhsRoot(l), ws.RhsRoot(l)) << l;
+    for (int j = 1; j <= gs.Rank(l); ++j) {
+      ASSERT_EQ(gs.ParamNode(l, j), ws.ParamNode(l, j)) << l;
     }
-    for (int i = 0; i <= gm.Rank(l); ++i) {
-      ASSERT_EQ(gm.SegSize(l, i), wm.SegSize(l, i)) << l;
+    for (int i = 0; i <= gs.Rank(l); ++i) {
+      ASSERT_EQ(gs.SegSize(l, i), ws.SegSize(l, i)) << l;
     }
-    ASSERT_EQ(gs.MaterialSize(l), ws.MaterialSize(l)) << l;
     ASSERT_EQ(gs.MaterialElements(l), ws.MaterialElements(l)) << l;
     const Tree& t = g.rhs(l);
     t.VisitPreorder(t.root(), [&](NodeId v) {
@@ -123,8 +123,8 @@ void ExpectSameAsMake(const GrammarSnapshot& got) {
     });
     for (LabelId m = 0; m < n; ++m) {
       ASSERT_EQ(gs.MayContain(l, m), ws.MayContain(l, m)) << l << "/" << m;
-      std::optional<RuleSummary::FirstOcc> a = gs.FirstOccurrence(l, m);
-      std::optional<RuleSummary::FirstOcc> b = ws.FirstOccurrence(l, m);
+      std::optional<RuleIndex::FirstOcc> a = gs.FirstOccurrence(l, m);
+      std::optional<RuleIndex::FirstOcc> b = ws.FirstOccurrence(l, m);
       ASSERT_EQ(a.has_value(), b.has_value()) << l << "/" << m;
       if (a) {
         ASSERT_EQ(a->offset, b->offset) << l << "/" << m;
@@ -209,6 +209,94 @@ TEST(DeriveServiceTest, ServedSnapshotsMatchFromScratchBuild) {
   ASSERT_TRUE(svc->Flush().ok());
   EXPECT_GT(svc->GetStats().merges, 0);
   ExpectSameAsMake(svc->OpenReader().snapshot());
+}
+
+// A batch that interns labels the parent's index has never seen (the
+// workloads above only draw rename targets from the document's own
+// alphabet): it renames a node to an unseen tag, inserts a fragment of
+// unseen tags, then isolates inside the fragment, renaming one of its
+// nodes and deleting another. The updater borrows the parent's index
+// and reads the new labels as terminals. The child equals a fresh
+// build and holds the document the plain tree holds after the same
+// ops; the parent's grammar and index are unchanged.
+TEST(DeriveTest, BatchInterningUnseenLabels) {
+  for (Corpus c : {Corpus::kXMark, Corpus::kTreebank}) {
+    SCOPED_TRACE(InfoFor(c).name);
+    Fixture f = MakeFixture(c, 0.03, 8, 41);
+    std::shared_ptr<const GrammarSnapshot> parent = f.seed;
+    const std::string image = SerializeGrammar(parent->grammar());
+    const int64_t n = parent->node_count();
+    // Two element positions, the rename's before the insert's.
+    auto element_at_or_after = [&](int64_t p) {
+      while (parent->nav().LabelAt(p).value() == kNullLabel) ++p;
+      return p;
+    };
+    const int64_t renamed = element_at_or_after(n / 4);
+    const int64_t inserted = element_at_or_after(n / 2);
+
+    LabelTable names = parent->grammar().labels();
+    // <fresh-a><fresh-b/><fresh-c/></fresh-a>, the insert hole as
+    // fresh-a's next sibling.
+    Tree frag;
+    NodeId a = frag.NewNode(names.Intern("fresh-a", 2));
+    frag.SetRoot(a);
+    NodeId b = frag.NewNode(names.Intern("fresh-b", 2));
+    NodeId cn = frag.NewNode(names.Intern("fresh-c", 2));
+    frag.AppendChild(a, b);
+    frag.AppendChild(a, frag.NewNode(kNullLabel));
+    frag.AppendChild(b, frag.NewNode(kNullLabel));
+    frag.AppendChild(b, cn);
+    frag.AppendChild(cn, frag.NewNode(kNullLabel));
+    frag.AppendChild(cn, frag.NewNode(kNullLabel));
+    std::vector<UpdateOp> ops(5);
+    ops[0].kind = UpdateOp::Kind::kRename;
+    ops[0].preorder = renamed;
+    ops[0].label = names.Intern("fresh-rename", 2);
+    ops[1].kind = UpdateOp::Kind::kInsert;
+    ops[1].preorder = inserted;
+    ops[1].fragment = frag;
+    // fresh-a at `inserted`, fresh-b right after it, fresh-c after
+    // fresh-b's empty first child.
+    ops[2].kind = UpdateOp::Kind::kRename;
+    ops[2].preorder = inserted + 3;
+    ops[2].label = names.Intern("fresh-d", 2);
+    ops[3].kind = UpdateOp::Kind::kDelete;
+    ops[3].preorder = inserted + 1;
+    ops[4].kind = UpdateOp::Kind::kRename;
+    ops[4].preorder = inserted + 1;
+    ops[4].label = ops[0].label;
+
+    BatchEffects effects;
+    auto child =
+        ApplyEncodedBatch(*parent, EncodeBatch(ops, names), 1, &effects);
+    ASSERT_TRUE(child.ok()) << child.status().ToString();
+    const GrammarSnapshot& cs = *child.value();
+    EXPECT_GT(cs.grammar().labels().size(), parent->index()->num_labels());
+    ExpectSameAsMake(cs);
+    EXPECT_EQ(cs.LabelAt(renamed).value(), "fresh-rename");
+    EXPECT_EQ(cs.LabelAt(inserted).value(), "fresh-a");
+    EXPECT_EQ(cs.LabelAt(inserted + 1).value(), "fresh-rename");
+
+    Tree plain = Value(parent->grammar()).take();
+    for (const UpdateOp& op : ops) ApplyOpToTree(&plain, op);
+    XmlTree want = DecodeBinary(plain, names).take();
+    EXPECT_EQ(cs.ToXml().value(), WriteXml(want, {}));
+
+    EXPECT_EQ(SerializeGrammar(parent->grammar()), image);
+    ExpectSameAsMake(*parent);
+
+    // The new labels are the index's own from here on: a batch and a
+    // merge on top.
+    std::shared_ptr<const GrammarSnapshot> next = child.take();
+    BatchEffects more;
+    auto grand = ApplyEncodedBatch(*next, f.batches[0], 2, &more);
+    ASSERT_TRUE(grand.ok()) << grand.status().ToString();
+    ExpectSameAsMake(*grand.value());
+    GrammarRepairResult r = LocalizedGrammarRePair(
+        grand.value()->grammar().Clone(), DamageUnion({effects, more}), {});
+    ExpectSameAsMake(*GrammarSnapshot::Derive(*grand.value(),
+                                              std::move(r.grammar), 2));
+  }
 }
 
 TEST(CopyOnWriteTest, CloneSharesBodiesUntilEdited) {

@@ -14,7 +14,7 @@
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
 #include "tests/exponential_grammars.h"
-#include "src/grammar/rule_meta.h"
+#include "src/grammar/rule_index.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/value.h"
 #include "src/xml/binary_encoding.h"
@@ -31,8 +31,8 @@ Grammar CompressedCorpus(Corpus c) {
 
 // Checks every navigation query against the decompressed tree.
 void CrossCheck(const Grammar& g) {
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-  SnapshotNav nav(&g, &meta);
+  RuleIndex index = RuleIndex::Build(g);
+  SnapshotNav nav(&g, &index);
 
   Tree full = Value(g).take();
   std::vector<LabelId> expect;
@@ -98,8 +98,8 @@ TEST(SnapshotNavTest, DeepSharedChain) {
   // Exponential derived size from a logarithmic grammar: navigation
   // must stay exact without materializing the 2^7-deep chain.
   Grammar g = ParameterizedChainGrammar(8);
-  RuleMeta meta = RuleMeta::Build(g, /*with_sizes=*/true);
-  SnapshotNav nav(&g, &meta);
+  RuleIndex index = RuleIndex::Build(g);
+  SnapshotNav nav(&g, &index);
   EXPECT_EQ(nav.DerivedSize(), ValueNodeCount(g));
   CrossCheck(g);
 }
