@@ -4,6 +4,7 @@
 // blocks whose costs the macro benches (fig4-6) aggregate.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <map>
 #include <memory>
@@ -508,8 +509,17 @@ BENCHMARK(BM_SpanEnterExitEnabled);
 // Custom main: identical to BENCHMARK_MAIN() except that results are
 // also written to BENCH_micro.json (JSON reporter) unless the caller
 // passes their own --benchmark_out, so the perf trajectory of the hot
-// paths is machine-readable from every run.
+// paths is machine-readable from every run, and that glibc never
+// trims the heap top (256 MiB threshold, as GLIBC_TUNABLES=
+// glibc.malloc.trim_threshold=268435456). Trimming between iterations
+// of a loop that allocates and frees whole grammars (BM_WriterApply)
+// lands the next iteration on freshly faulted pages or not depending
+// on allocation sizes, which moved that series by up to 15% between
+// builds of the same code path. Setting the trim threshold also fixes
+// glibc's mmap threshold at its 128 KiB default, so larger blocks are
+// mapped fresh each time: a stable level, not the served one.
 int main(int argc, char** argv) {
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
   std::vector<char*> args =
       slg::BenchmarkArgsWithJsonDefault(argc, argv, "BENCH_micro.json");
   int ac = static_cast<int>(args.size());

@@ -309,7 +309,7 @@ int Run(int argc, char** argv) {
     int64_t local_rescanned = rescanned_counter.Value() - rescanned_before;
 
     Timer adapt_timer;
-    BatchApplyOptions aopts;
+    UpdateOptions aopts;
     aopts.repair = recompress;
     aopts.growth_trigger = growth;
     auto adaptive =
@@ -362,8 +362,8 @@ int Run(int argc, char** argv) {
       "checkpoints\n\n",
       uscale, updates, period);
   TablePrinter utable({"dataset", "cl-dec(s)", "cl-comp(s)", "dag-dec(s)",
-                       "dag-comp(s)", "dagg-comp(s)", "comp-spd", "cl-edges",
-                       "dag-edges", "dagg-edges", "ratio", "tree-peak",
+                       "dag-comp(s)", "comp-spd", "cl-edges", "dag-edges",
+                       "ratio", "tree-peak",
                        "dag-peak", "reused"});
   for (const CorpusInfo& info : AllCorpora()) {
     XmlTree xml = GenerateCorpus(info.id, uscale);
@@ -384,19 +384,8 @@ int Run(int argc, char** argv) {
     dag_opts.mode = UdcOptions::Mode::kDagShared;
     UdcSession dag_session(dag_opts);
 
-    // Third leg: the paper's grammar-input mode (full-sharing DAG
-    // grammar + GrammarRePair). Its per-round refreshes are now
-    // damage-proportional, so it is re-measured side by side with the
-    // forest-repair compressor.
-    UdcOptions dagg_opts;
-    dagg_opts.mode = UdcOptions::Mode::kDagShared;
-    dagg_opts.dag_compressor = UdcOptions::DagCompressor::kGrammarRepair;
-    dagg_opts.grammar_repair.repair.require_positive_savings = true;
-    UdcSession dagg_session(dagg_opts);
-
     double classic_dec = 0, classic_comp = 0, dag_dec = 0, dag_comp = 0;
-    double dagg_comp = 0;
-    int64_t classic_edges = 0, dag_edges = 0, dagg_edges = 0;
+    int64_t classic_edges = 0, dag_edges = 0;
     int64_t tree_peak = 0, dag_peak = 0, pool_final = 0, reused_total = 0;
     size_t i = 0;
     while (i < w.ops.size()) {
@@ -428,13 +417,6 @@ int Run(int argc, char** argv) {
       SLG_CHECK(dag.value().tree_nodes == classic.value().tree_nodes);
       SLG_CHECK(ValueNodeCount(dag.value().grammar) ==
                 classic.value().tree_nodes);
-
-      auto dagg = dagg_session.Run(g);
-      SLG_CHECK(dagg.ok());
-      dagg_comp += dagg.value().compress_seconds;
-      dagg_edges = ComputeStats(dagg.value().grammar).edge_count;
-      SLG_CHECK(ValueNodeCount(dagg.value().grammar) ==
-                classic.value().tree_nodes);
     }
     double comp_speedup = dag_comp > 0 ? classic_comp / dag_comp : 0;
     double size_ratio = classic_edges > 0
@@ -445,11 +427,9 @@ int Run(int argc, char** argv) {
                    TablePrinter::Fixed(classic_comp, 3),
                    TablePrinter::Fixed(dag_dec, 3),
                    TablePrinter::Fixed(dag_comp, 3),
-                   TablePrinter::Fixed(dagg_comp, 3),
                    TablePrinter::Fixed(comp_speedup, 2),
                    TablePrinter::Num(classic_edges),
                    TablePrinter::Num(dag_edges),
-                   TablePrinter::Num(dagg_edges),
                    TablePrinter::Fixed(size_ratio, 4),
                    TablePrinter::Num(tree_peak), TablePrinter::Num(dag_peak),
                    TablePrinter::Num(reused_total)});
@@ -462,10 +442,8 @@ int Run(int argc, char** argv) {
               {"dag_decompress_s", dag_dec},
               {"dag_compress_s", dag_comp},
               {"dag_compress_speedup", comp_speedup},
-              {"dagg_compress_s", dagg_comp},
               {"udc_classic_edges", static_cast<double>(classic_edges)},
               {"udc_dag_edges", static_cast<double>(dag_edges)},
-              {"udc_dagg_edges", static_cast<double>(dagg_edges)},
               {"udc_dag_vs_classic_edges", size_ratio},
               {"tree_nodes_peak", static_cast<double>(tree_peak)},
               {"dag_nodes_peak", static_cast<double>(dag_peak)},

@@ -1,7 +1,7 @@
 // Dynamic DOM scenario (the paper's motivating application): a
 // long-lived, frequently mutated document kept compressed at all
-// times, with automatic periodic recompression — contrasted against
-// the naive strategy of never recompressing.
+// times, recompressed automatically on the growth trigger — contrasted
+// against the naive strategy of never recompressing.
 //
 // Simulates a feed page that continuously receives new items, expires
 // old ones and retags entries, and prints the memory footprint
@@ -52,9 +52,13 @@ int main() {
   slg::Rng rng_a(42);
   slg::Rng rng_b(42);
 
-  slg::UpdateOptions naive_opts;              // never recompresses
+  slg::UpdateOptions naive_opts;  // never recompresses
+  // Recompresses (localized GrammarRePair) once the updates since the
+  // last repair added more than a quarter of the grammar's size, and
+  // at least 10 of them happened — the service's merge trigger.
   slg::UpdateOptions managed_opts;
-  managed_opts.auto_recompress_every = 25;    // GrammarRePair every 25 ops
+  managed_opts.growth_trigger = 0.25;
+  managed_opts.min_checkpoint_ops = 10;
 
   slg::CompressedXmlTree naive = MakeFeed(naive_opts);
   slg::CompressedXmlTree managed = MakeFeed(managed_opts);

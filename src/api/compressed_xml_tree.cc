@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/core/grammar_repair.h"
 #include "src/grammar/binary_format.h"
 #include "src/grammar/validate.h"
 #include "src/obs/trace.h"
@@ -59,7 +58,11 @@ Status CompressedXmlTree::ApplyEncoded(std::string_view encoded) {
   NoteDamage(effects.damage);
   snap_ = next.take();
   ++updates_since_recompress_;
-  MaybeAutoRecompress();
+  edges_added_since_recompress_ += effects.edges_added;
+  if (RecompressDue(options_, updates_since_recompress_,
+                    edges_added_since_recompress_, edges_at_recompress_)) {
+    Recompress();
+  }
   return Status::Ok();
 }
 
@@ -68,33 +71,22 @@ void CompressedXmlTree::Recompress() {
   // rule (every update isolates its path there) plus the rules whose
   // bodies those isolations inlined — without the frontier the copies
   // in the start rule could never be folded back (see
-  // BatchUpdater::DamagedRules).
+  // BatchUpdater::DamagedRules). With no update since the last repair
+  // there is no damage to seed from, and the full repair runs.
   std::vector<LabelId> damage = std::move(pending_damage_);
   pending_damage_.clear();
   pending_damage_seen_.clear();
-  Grammar g = snap_->grammar().Clone();
-  GrammarRepairResult r =
-      options_.localized && updates_since_recompress_ > 0
-          ? LocalizedGrammarRePair(std::move(g), damage, options_.repair)
-          : GrammarRePair(std::move(g), options_.repair);
-  // As the service's merge: compact what the repair rewrote. Rules the
-  // repair left alone keep their bodies and index entries.
-  r.grammar.CompactOwnedBodies();
-  snap_ = GrammarSnapshot::Derive(*snap_, std::move(r.grammar),
-                                  snap_->version() + 1);
+  snap_ = RecompressSnapshot(
+      *snap_, damage, options_.localized && updates_since_recompress_ > 0,
+      options_.repair, snap_->version() + 1);
   updates_since_recompress_ = 0;
+  edges_added_since_recompress_ = 0;
+  edges_at_recompress_ = snap_->edges();
 }
 
 void CompressedXmlTree::NoteDamage(const std::vector<LabelId>& rules) {
   for (LabelId r : rules) {
     if (pending_damage_seen_.insert(r).second) pending_damage_.push_back(r);
-  }
-}
-
-void CompressedXmlTree::MaybeAutoRecompress() {
-  if (options_.auto_recompress_every > 0 &&
-      updates_since_recompress_ >= options_.auto_recompress_every) {
-    Recompress();
   }
 }
 

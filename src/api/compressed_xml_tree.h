@@ -113,7 +113,9 @@ class CompressedXmlTree {
 
   // Recompresses now: the damage-localized repair when
   // UpdateOptions::localized is set and updates happened since the
-  // last repair, the full GrammarRePair otherwise.
+  // last repair, the full GrammarRePair otherwise. Updates call it on
+  // their own when RecompressDue fires (UpdateOptions::growth_trigger
+  // > 0), exactly like the service's merge trigger.
   void Recompress();
 
   int UpdatesSinceRecompress() const { return updates_since_recompress_; }
@@ -140,16 +142,22 @@ class CompressedXmlTree {
  private:
   CompressedXmlTree(std::shared_ptr<const GrammarSnapshot> snap,
                     const UpdateOptions& update)
-      : snap_(std::move(snap)), options_(update) {}
+      : snap_(std::move(snap)),
+        options_(update),
+        edges_at_recompress_(snap_->edges()) {}
 
   // The mutators' one path: ApplyEncodedBatch (src/service/apply.h).
   Status ApplyEncoded(std::string_view encoded);
-  void MaybeAutoRecompress();
   void NoteDamage(const std::vector<LabelId>& rules);
 
   std::shared_ptr<const GrammarSnapshot> snap_;
   UpdateOptions options_;
   int updates_since_recompress_ = 0;
+  // RecompressDue's inputs besides the op count: the gross edges the
+  // updates since the last repair added (BatchEffects::edges_added),
+  // and the grammar's edge count at that repair (or on adoption).
+  int64_t edges_added_since_recompress_ = 0;
+  int64_t edges_at_recompress_;
   // Damage accumulated by the updates since the last recompression —
   // the start rule plus every rule whose body isolation inlined there
   // (see BatchUpdater::DamagedRules); Recompress() seeds the localized

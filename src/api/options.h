@@ -1,10 +1,5 @@
 // The two public option structs every top-level entry point shares.
 //
-// The old CompressedXmlTreeOptions aggregated initial-compression
-// knobs (thread/shard counts) and update-path knobs (localized
-// recompression, auto-recompress cadence) in one ad-hoc bag. The split
-// below is the single source of truth:
-//
 //   CompressOptions — how a document is compressed *once*, on ingest
 //     (FromXml): the repair pipeline configuration and the sharded-
 //     pipeline shape. Consumed by CompressedXmlTree::FromXml,
@@ -12,10 +7,12 @@
 //
 //   UpdateOptions — how an already-compressed document regains
 //     compression as updates accumulate: which repair to run
-//     (localized vs full), when to run it (growth trigger + op floor),
-//     and the repair configuration itself. Consumed verbatim by
-//     CompressedXmlTree and ServiceOptions, so a document moved
-//     between the two surfaces keeps identical recompression behavior.
+//     (localized vs full), when to run it (growth trigger + op floor,
+//     decided by RecompressDue), and the repair configuration itself.
+//     The one recompression policy of every update surface:
+//     CompressedXmlTree, ServiceOptions and ApplyWorkloadBatched all
+//     take it and decide with the same predicate, so a document moved
+//     between them keeps identical recompression behavior.
 //
 // Both constructors enable RepairOptions::require_positive_savings:
 // documents on these paths get recompressed repeatedly, so the
@@ -23,6 +20,8 @@
 
 #ifndef SLG_API_OPTIONS_H_
 #define SLG_API_OPTIONS_H_
+
+#include <cstdint>
 
 #include "src/core/grammar_repair.h"
 
@@ -65,25 +64,36 @@ struct UpdateOptions {
   // Adaptive recompression trigger: recompress when the gross edges
   // added since the last repair (isolation inlining + insert
   // fragments, BatchUpdater::EdgesAdded) exceed this fraction of the
-  // grammar's edge count at that repair. <= 0 disables the automatic
-  // trigger (recompression happens only when explicitly requested —
-  // Recompress() or Flush(), depending on the surface). Each surface
-  // picks its own default: the in-memory facade leaves it off, the
-  // service constructs with 0.5.
+  // grammar's edge count at that repair. Cheap periods — ops that
+  // isolate shallow paths and add little — accumulate for free; heavy
+  // damage recompresses promptly, independent of op count. <= 0
+  // disables the automatic trigger: recompression happens only when
+  // explicitly requested (CompressedXmlTree::Recompress,
+  // DocumentService::Flush, the end of ApplyWorkloadBatched's
+  // workload). The facade and the workload driver leave it off by
+  // default, the service constructs with 0.5.
   double growth_trigger = 0.0;
   // Floor between adaptive recompressions: even when the growth
   // trigger is exceeded, at least this many operations must have been
   // applied since the last repair. On strongly-compressing documents a
   // single isolation can add more material than the whole
   // (logarithmic) grammar holds, so a bare fraction trigger would
-  // recompress every other op.
+  // recompress every other op — each mini-repair then mints a few
+  // churn rules the next one has to chew through, which is both slower
+  // and larger than letting damage accumulate a little.
   int min_checkpoint_ops = 64;
-
-  // CompressedXmlTree only: if > 0, Rename/Insert/Delete trigger
-  // Recompress() automatically after this many updates (an op-count
-  // cadence, predating — and independent of — the growth trigger).
-  int auto_recompress_every = 0;
 };
+
+// The adaptive trigger: true when `ops_since` operations that added
+// `edges_added` gross edges since the last repair, on a grammar of
+// `base_edges` edges at that repair, call for the next one.
+inline bool RecompressDue(const UpdateOptions& options, int64_t ops_since,
+                          int64_t edges_added, int64_t base_edges) {
+  return options.growth_trigger > 0 &&
+         ops_since >= options.min_checkpoint_ops &&
+         static_cast<double>(edges_added) >
+             options.growth_trigger * static_cast<double>(base_edges);
+}
 
 }  // namespace slg
 

@@ -251,10 +251,9 @@ struct Reachability {
   std::unordered_map<DagId, int64_t> refs;
 };
 
-// Unfolds `rep` into `out` under `dst_parent` (as the root when
-// kNilNode), cutting at nodes with a rule label — every such child
-// becomes a single call leaf; the body's own root always unfolds.
-// Shared by the grammar and forest emitters.
+// Unfolds `rep` into `out` under `dst_parent`, cutting at nodes with a
+// rule label — every such child becomes a single call leaf; the body's
+// own root always unfolds.
 void EmitCutBody(const DagPool& pool, DagId rep,
                  const std::unordered_map<DagId, LabelId>& rule_label,
                  Tree* out, NodeId dst_parent) {
@@ -277,11 +276,7 @@ void EmitCutBody(const DagPool& pool, DagId rep,
       lab = pool.label(w.src);
     }
     NodeId v = out->NewNode(lab);
-    if (w.dst_parent == kNilNode) {
-      out->SetRoot(v);
-    } else {
-      out->AppendChild(w.dst_parent, v);
-    }
+    out->AppendChild(w.dst_parent, v);
     first = false;
     if (descend) {
       const DagId* kids = pool.children(w.src);
@@ -315,46 +310,6 @@ Reachability Discover(const DagPool& pool, DagId root) {
 }
 
 }  // namespace
-
-DagGrammar DagToGrammar(const DagPool& pool, DagId root,
-                        const LabelTable& labels, const DagOptions& options) {
-  Reachability reach = Discover(pool, root);
-  std::vector<DagId>& discovery = reach.discovery;
-  std::unordered_map<DagId, int64_t>& refs = reach.refs;
-
-  DagGrammar out;
-  out.reachable_nodes = static_cast<int64_t>(discovery.size());
-  out.grammar.labels() = labels;
-  LabelId start = out.grammar.labels().Fresh("S", 0);
-
-  // 2. Shared-and-large-enough nodes become rules, in discovery order.
-  std::unordered_map<DagId, LabelId> rule_label;
-  for (DagId d : discovery) {
-    if (d == root) continue;
-    if (refs[d] > 1 && pool.TreeSize(d) >= options.min_subtree_size) {
-      rule_label[d] = out.grammar.labels().Fresh("D", 0);
-    }
-  }
-
-  // 3. Emit bodies, cutting at shared children (same shape as
-  //    dag_builder.h's emit_body, over pool nodes instead of tree
-  //    nodes).
-  auto emit_body = [&](DagId rep) {
-    Tree body;
-    EmitCutBody(pool, rep, rule_label, &body, kNilNode);
-    return body;
-  };
-
-  out.grammar.AddRule(start, emit_body(root));
-  out.grammar.set_start(start);
-  for (DagId d : discovery) {
-    auto it = rule_label.find(d);
-    if (it != rule_label.end()) {
-      out.grammar.AddRule(it->second, emit_body(d));
-    }
-  }
-  return out;
-}
 
 StatusOr<DagForest> DagToForest(const DagPool& pool, DagId root,
                                 const LabelTable& labels,

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/dag/dag_builder.h"
 #include "src/grammar/grammar.h"
 #include "src/grammar/value.h"
 #include "src/tree/label_table.h"
@@ -136,28 +135,8 @@ class DagEvaluator {
   DagEvalStats stats_;
 };
 
-// Result of emitting a DAG as a grammar (see DagToGrammar).
-struct DagGrammar {
-  Grammar grammar;
-  // Distinct subtrees reachable from the root — the DAG-mode peak
-  // space of one udc round (the classic analogue is the materialized
-  // tree's node count).
-  int64_t reachable_nodes = 0;
-};
-
-// Emits the sub-DAG reachable from `root` as a rank-0 SLCF grammar in
-// the shape of BuildDag's output: every node referenced more than once
-// with unfolded size >= options.min_subtree_size becomes a rule D_i,
-// the root becomes the start rule. `labels` is copied. Deterministic
-// in the *structure* of the DAG (rule order follows discovery order
-// from the root), independent of pool id values — a session-shared
-// pool and a fresh pool produce byte-identical grammars.
-DagGrammar DagToGrammar(const DagPool& pool, DagId root,
-                        const LabelTable& labels,
-                        const DagOptions& options = {});
-
 struct DagForestOptions {
-  // Sharing threshold, as DagOptions::min_subtree_size.
+  // Subtrees with fewer nodes than this are never emitted as rules.
   int min_subtree_size = 2;
   // Shared subtrees emitted as rules initially, ranked by savings
   // (references-1) x unfolded size. Few big winners beat full sharing

@@ -163,9 +163,7 @@ ShardedCompressResult ShardedCompress(Tree t, const LabelTable& labels,
   phase.Reset();
   {
     obs::TraceSpan span("pipeline.final");
-    if (options.final_repair != FinalRepairMode::kNone) {
-      TopLevelRepair(&merged, options.shard_repair);
-    }
+    TopLevelRepair(&merged, options.shard_repair);
     if (options.final_repair == FinalRepairMode::kFull) {
       result.final_rounds += BoundaryDeepen(&merged, options.shard_repair);
       GrammarRepairResult r =

@@ -29,13 +29,12 @@ namespace slg {
 
 // How hard the pipeline works to win back compression the partition
 // hid from the per-shard runs. Measured trade-off (docs/PERF.md):
-//  * kNone      merge + dedup only; size within ~10-40% of a single
-//               run, no post-merge work at all.
-//  * kTopLevel  + global prune (inlines the segment chain into the
-//               start rule) and one TreeRePair over the start rule
-//               with rules as opaque terminals — recovers the digrams
-//               at shard boundaries, which all sit top-level after the
-//               inlining. Costs a few percent of the shard runs.
+//  * kTopLevel  merge + dedup, a global prune (inlines the segment
+//               chain into the start rule) and one TreeRePair over the
+//               start rule with rules as opaque terminals — recovers
+//               the digrams at shard boundaries, which all sit
+//               top-level after the inlining. Costs a few percent of
+//               the shard runs.
 //  * kFull      + a boundary-deepening LocalizedGrammarRePair seeded
 //               at the start rule (the merged P-chain boundary is
 //               exactly that known damage set; it resolves digrams
@@ -45,7 +44,7 @@ namespace slg {
 //               bodies. Near single-run size, but each round pays the
 //               fragment-export machinery — can cost many times the
 //               shard runs; use when size matters more than speed.
-enum class FinalRepairMode { kNone, kTopLevel, kFull };
+enum class FinalRepairMode { kTopLevel, kFull };
 
 struct ShardedCompressorOptions {
   ShardedCompressorOptions() {

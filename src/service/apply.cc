@@ -26,6 +26,24 @@ StatusOr<std::shared_ptr<const GrammarSnapshot>> ApplyEncodedBatch(
                                  std::move(start_sizes));
 }
 
+std::shared_ptr<const GrammarSnapshot> RecompressSnapshot(
+    const GrammarSnapshot& in, const std::vector<LabelId>& damage,
+    bool localized, const GrammarRepairOptions& repair, int64_t version,
+    int64_t* rules_rescanned) {
+  Grammar g = in.grammar().Clone();
+  GrammarRepairResult r =
+      localized ? LocalizedGrammarRePair(std::move(g), damage, repair)
+                : GrammarRePair(std::move(g), repair);
+  if (rules_rescanned != nullptr) *rules_rescanned = r.rules_rescanned;
+  // Compacts what the repair rewrote (the start rule above all): reads
+  // and the next writes walk a tenth of the memory, and the bodies get
+  // the numbering a loaded snapshot has, so a reopened service goes on
+  // repairing exactly like this one (the repair's tie-breaks see
+  // NodeIds).
+  r.grammar.CompactOwnedBodies();
+  return GrammarSnapshot::Derive(in, std::move(r.grammar), version);
+}
+
 std::string EncodeRename(int64_t preorder, std::string_view new_tag) {
   LabelTable names;
   std::vector<UpdateOp> ops(1);

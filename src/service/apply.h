@@ -1,4 +1,4 @@
-// The one apply path of a served document.
+// The one apply path of a served document, and its one merge.
 //
 // A batch travels as its journal payload (EncodeBatch: ops by label
 // name) and is applied parent snapshot → child snapshot: decode
@@ -9,6 +9,12 @@
 // recovery replay, and CompressedXmlTree's mutators all apply batches
 // through ApplyEncodedBatch — so every surface interns labels in the
 // same order and serves byte-identical grammars.
+//
+// RecompressSnapshot folds what the batches added back into the
+// grammar. The service's merge thread, its recovery (re-running a
+// merge whose snapshot never became durable) and
+// CompressedXmlTree::Recompress all call it, so a document recompresses
+// the same way on every surface.
 
 #ifndef SLG_SERVICE_APPLY_H_
 #define SLG_SERVICE_APPLY_H_
@@ -20,6 +26,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/core/grammar_repair.h"
 #include "src/service/snapshot.h"
 
 namespace slg {
@@ -38,6 +45,19 @@ struct BatchEffects {
 StatusOr<std::shared_ptr<const GrammarSnapshot>> ApplyEncodedBatch(
     const GrammarSnapshot& parent, std::string_view encoded, int64_t version,
     BatchEffects* effects);
+
+// Recompresses `in`'s document and returns the result stamped
+// `version`: clones the grammar (the clone shares every rule body),
+// runs LocalizedGrammarRePair seeded with `damage` (the union of the
+// merged batches' BatchEffects::damage) when `localized`, else the full
+// GrammarRePair, compacts the bodies the repair rewrote, and derives
+// the snapshot from `in`, so the rules the repair left alone keep their
+// bodies and index entries. A pure function of its arguments. Stores
+// the repair's whole-rule rescans in `*rules_rescanned` when non-null.
+std::shared_ptr<const GrammarSnapshot> RecompressSnapshot(
+    const GrammarSnapshot& in, const std::vector<LabelId>& damage,
+    bool localized, const GrammarRepairOptions& repair, int64_t version,
+    int64_t* rules_rescanned = nullptr);
 
 // One-op payloads for the Rename / InsertXmlBefore / Delete
 // conveniences (1-based binary preorder addressing). They carry label

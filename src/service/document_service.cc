@@ -6,7 +6,6 @@
 
 #include "src/common/check.h"
 #include "src/common/timer.h"
-#include "src/core/grammar_repair.h"
 #include "src/grammar/validate.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -64,28 +63,6 @@ Status CheckLabelIds(const std::vector<UpdateOp>& ops,
     }
   }
   return Status::Ok();
-}
-
-// The merge: a pure function of (document, damage, options), run by
-// the merge thread and re-run by recovery to rebuild a snapshot that
-// never became durable. It repairs a clone, whose untouched rules keep
-// sharing their bodies — and, through GrammarSnapshot::Derive, their
-// index entries — with `in`.
-GrammarRepairResult Merge(const GrammarSnapshot& in,
-                          const std::vector<LabelId>& damage,
-                          const UpdateOptions& update) {
-  Grammar g = in.grammar().Clone();
-  GrammarRepairResult r =
-      update.localized
-          ? LocalizedGrammarRePair(std::move(g), damage, update.repair)
-          : GrammarRePair(std::move(g), update.repair);
-  // Compacts what the repair rewrote (the start rule above all): reads
-  // and the next writes walk a tenth of the memory, and the bodies get
-  // the numbering a loaded snapshot has, so a reopened service goes on
-  // repairing exactly like this one (the repair's tie-breaks see
-  // NodeIds).
-  r.grammar.CompactOwnedBodies();
-  return r;
 }
 
 }  // namespace
@@ -168,13 +145,14 @@ StatusOr<std::unique_ptr<DocumentService>> DocumentService::Open(
       if (!journal.ends_with_checkpoint) break;
       // The snapshot this seal names is corrupt or was never published:
       // re-run the merge that built it, and heal it.
-      Grammar merged =
-          Merge(*snap, DamageUnion(pending), options.update).grammar;
+      snap = RecompressSnapshot(*snap, DamageUnion(pending),
+                                options.update.localized,
+                                options.update.repair, 0);
       pending.clear();
       ++gen;
-      SLG_RETURN_IF_ERROR(WriteSnapshot(options.durable_dir, gen, merged,
+      SLG_RETURN_IF_ERROR(WriteSnapshot(options.durable_dir, gen,
+                                        snap->grammar(),
                                         options.fault_injector));
-      snap = GrammarSnapshot::Derive(*snap, std::move(merged), 0);
     }
     StatusOr<DocumentStore> resumed =
         DocumentStore::Resume(options.durable_dir, chain, options.journal,
@@ -311,12 +289,9 @@ Status DocumentService::WriteLocked(std::string encoded) {
 // --- merge -----------------------------------------------------------------
 
 bool DocumentService::MergeNeededLocked() const {
-  if (pending_.empty()) return false;
-  if (options_.update.growth_trigger <= 0) return false;
-  if (overlay_ops_ < options_.update.min_checkpoint_ops) return false;
-  return static_cast<double>(state_->overlay_edges) >
-         options_.update.growth_trigger *
-             static_cast<double>(state_->base->edges());
+  return !pending_.empty() &&
+         RecompressDue(options_.update, overlay_ops_, state_->overlay_edges,
+                       state_->base->edges());
 }
 
 void DocumentService::MergeLoop() {
@@ -352,26 +327,26 @@ void DocumentService::MergeOnce(std::unique_lock<std::mutex>& lk) {
   // snapshots chain off the captured overlay) and readers keep
   // loading whatever state is current.
   lk.unlock();
+  // The repair and the snapshot's read indexes of every rule it
+  // rewrote (the rest keep their parent's entries) are built here, off
+  // the lock.
   Timer timer;
-  GrammarRepairResult merged;
+  std::shared_ptr<const GrammarSnapshot> base_snap;
+  int64_t rescanned = 0;
   {
     obs::TraceSpan span("service.merge");
-    merged = Merge(in_state->effective(), damage, options_.update);
+    base_snap = RecompressSnapshot(in_state->effective(), damage,
+                                   options_.update.localized,
+                                   options_.update.repair, v, &rescanned);
   }
   int64_t elapsed_us = static_cast<int64_t>(timer.ElapsedSeconds() * 1e6);
 
-  // Snapshot construction builds the read indexes of every rule the
-  // repair rewrote (the rest keep their parent's entries), so it runs
-  // here, off the lock.
-  std::shared_ptr<const GrammarSnapshot> base_snap = GrammarSnapshot::Derive(
-      in_state->effective(), std::move(merged.grammar), v);
-
   lk.lock();
   ++merges_;
-  merge_rescans_ += merged.rules_rescanned;
+  merge_rescans_ += rescanned;
   ServiceMetrics& m = ServiceMetrics::Get();
   m.merges.Increment();
-  m.rescans.Add(merged.rules_rescanned);
+  m.rescans.Add(rescanned);
   m.merge_us.Record(elapsed_us);
 
   pending_.erase(pending_.begin(),

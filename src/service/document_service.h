@@ -17,9 +17,10 @@
 //     publish the child as the new overlay with one atomic shared_ptr
 //     swap. A failed batch publishes nothing: batches are atomic, the
 //     document is unchanged;
-//   * a background merge thread — when the overlay's gross added
-//     edges exceed UpdateOptions::growth_trigger of the base (with
-//     the min_checkpoint_ops floor), or on Flush(), it recompresses
+//   * a background merge thread — when RecompressDue fires for the
+//     overlay (its gross added edges exceed UpdateOptions::
+//     growth_trigger of the base, past the min_checkpoint_ops floor),
+//     or on Flush(), it recompresses
 //     the overlay off-lock (LocalizedGrammarRePair seeded with exactly
 //     the overlay's damage, or GrammarRePair when
 //     UpdateOptions::localized is off) and splices the result in:
@@ -32,8 +33,8 @@
 //
 // One function applies every batch (ApplyEncodedBatch,
 // src/service/apply.h) — on the write path, in the merge splice and in
-// recovery — and one merge function folds them, on the merge thread
-// and in recovery. That is why a document recovered by Open() is
+// recovery — and one function folds them (RecompressSnapshot, same
+// file), on the merge thread and in recovery. That is why a document recovered by Open() is
 // byte-identical to the one that was served, and why its next merge
 // is too.
 //
@@ -77,8 +78,8 @@ struct ServiceOptions {
 
   // Ingest (FromXml) configuration.
   CompressOptions compress;
-  // Merge repair (localized or full) + adaptive merge trigger — shared
-  // verbatim with CompressedXmlTree.
+  // Merge repair (localized or full) + adaptive merge trigger — the
+  // same policy CompressedXmlTree applies.
   UpdateOptions update;
 
   // Non-empty: every acknowledged batch is journaled to this document

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "src/core/grammar_repair.h"
 #include "src/grammar/inliner.h"
 #include "src/grammar/stats.h"
 #include "src/grammar/value.h"
@@ -283,11 +284,11 @@ int BatchUpdater::Finish() {
 
 StatusOr<BatchResult> ApplyWorkloadBatched(Grammar g,
                                            const std::vector<UpdateOp>& ops,
-                                           const BatchApplyOptions& options) {
+                                           const UpdateOptions& options) {
   BatchResult result;
-  const bool adaptive = options.recompress && options.growth_trigger > 0;
   // The adaptive trigger compares gross batch growth against the
   // grammar size as of the last repair; refreshed at every checkpoint.
+  const bool adaptive = options.growth_trigger > 0;
   int64_t base_edges = adaptive ? ComputeStats(g).edge_count : 0;
   BatchUpdater batch(&g);
   int done = 0;
@@ -309,19 +310,14 @@ StatusOr<BatchResult> ApplyWorkloadBatched(Grammar g,
     Status st = batch.Apply(op);
     if (!st.ok()) return st;
     ++done;
-    if (adaptive && done < static_cast<int>(ops.size()) &&
-        done - last_checkpoint >= options.min_checkpoint_ops &&
-        static_cast<double>(batch.EdgesAdded()) >
-            options.growth_trigger * static_cast<double>(base_edges)) {
+    if (done < static_cast<int>(ops.size()) &&
+        RecompressDue(options, done - last_checkpoint, batch.EdgesAdded(),
+                      base_edges)) {
       checkpoint();
       base_edges = ComputeStats(g).edge_count;
     }
   }
-  if (options.recompress) {
-    checkpoint();
-  } else {
-    result.rules_collected += batch.Finish();
-  }
+  checkpoint();
   result.grammar = std::move(g);
   return result;
 }

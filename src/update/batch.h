@@ -42,8 +42,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/api/options.h"
 #include "src/common/status.h"
-#include "src/core/grammar_repair.h"
 #include "src/grammar/grammar.h"
 #include "src/grammar/rule_index.h"
 #include "src/workload/update_workload.h"
@@ -159,35 +159,6 @@ class BatchUpdater {
   int64_t edges_added_ = 0;
 };
 
-struct BatchApplyOptions {
-  // Recompress at checkpoints (and once at the end of the workload).
-  bool recompress = true;
-  // Checkpoints run LocalizedGrammarRePair seeded from the batch's
-  // damage set instead of re-indexing the whole grammar. The result
-  // validates and derives the same document but need not be
-  // byte-identical to a full repair (see LocalizedGrammarRePair).
-  bool localized = true;
-  // Adaptive checkpoint trigger: recompress mid-workload whenever the
-  // gross edges the batch added since the last repair (isolation
-  // inlining + insert fragments, BatchUpdater::EdgesAdded) exceed this
-  // fraction of the grammar's edge count at that repair. Cheap periods
-  // — ops that isolate shallow paths and add little — accumulate for
-  // free; heavy damage recompresses promptly, independent of op count.
-  // <= 0 disables intermediate checkpoints: one recompression at the
-  // end of the workload (the previous fixed behavior).
-  double growth_trigger = 0.0;
-  // Floor between adaptive checkpoints: even when the growth trigger
-  // is exceeded, at least this many operations must have been applied
-  // since the last repair. On strongly-compressing documents a single
-  // isolation can add more material than the whole (logarithmic)
-  // grammar holds, so a bare fraction trigger would recompress every
-  // other op — each mini-repair then mints a few churn rules the next
-  // one has to chew through, which is both slower and larger than
-  // letting damage accumulate a little.
-  int min_checkpoint_ops = 64;
-  GrammarRepairOptions repair;
-};
-
 struct BatchResult {
   Grammar grammar;
   int rules_collected = 0;
@@ -201,11 +172,14 @@ struct BatchResult {
 
 // Applies every operation of `ops` through one BatchUpdater,
 // garbage-collecting once per checkpoint and recompressing per
-// `options` (adaptively if growth_trigger > 0, localized by default).
-// Fails on the first inapplicable operation.
+// `options`: mid-workload whenever RecompressDue fires (never with the
+// default growth_trigger of 0), and once at the end of the workload.
+// Checkpoints repair the grammar in place without compacting it, so
+// the NodeIds the repair's tie-breaks see are the updater's. Fails on
+// the first inapplicable operation.
 StatusOr<BatchResult> ApplyWorkloadBatched(Grammar g,
                                            const std::vector<UpdateOp>& ops,
-                                           const BatchApplyOptions& options = {});
+                                           const UpdateOptions& options);
 
 }  // namespace slg
 

@@ -88,28 +88,17 @@ StatusOr<UdcResult> UdcSession::Run(const Grammar& g) {
   result.tree_nodes = evaluator_.pool().TreeSize(root.value());
 
   timer.Reset();
-  if (options_.dag_compressor == UdcOptions::DagCompressor::kForestRepair) {
-    DagForestOptions fopts;
-    fopts.min_subtree_size = options_.dag.min_subtree_size;
-    fopts.initial_rules = options_.dag_initial_rules;
-    fopts.forest_factor = options_.dag_forest_factor;
-    fopts.max_forest_nodes = options_.max_nodes;
-    StatusOr<DagForest> forest =
-        DagToForest(evaluator_.pool(), root.value(), g.labels(), fopts);
-    if (!forest.ok()) return forest.status();
-    result.dag_nodes =
-        std::max(forest.value().reachable_nodes, forest.value().forest_nodes);
-    TreeRepairResult tr =
-        TreeRePair(std::move(forest.value().forest), forest.value().labels,
-                   options_.tree_repair);
-    result.grammar = SplitRepairedForest(forest.value(), std::move(tr));
-  } else {
-    DagGrammar dag = DagToGrammar(evaluator_.pool(), root.value(), g.labels(),
-                                  options_.dag);
-    result.dag_nodes = dag.reachable_nodes;
-    result.grammar =
-        GrammarRePair(std::move(dag.grammar), options_.grammar_repair).grammar;
-  }
+  DagForestOptions fopts;
+  fopts.max_forest_nodes = options_.max_nodes;
+  StatusOr<DagForest> forest =
+      DagToForest(evaluator_.pool(), root.value(), g.labels(), fopts);
+  if (!forest.ok()) return forest.status();
+  result.dag_nodes =
+      std::max(forest.value().reachable_nodes, forest.value().forest_nodes);
+  TreeRepairResult tr =
+      TreeRePair(std::move(forest.value().forest), forest.value().labels,
+                 options_.tree_repair);
+  result.grammar = SplitRepairedForest(forest.value(), std::move(tr));
   result.compress_seconds = timer.ElapsedSeconds();
 
   result.pool_nodes = evaluator_.pool().size();

@@ -13,22 +13,15 @@
 //    src/dag/value_dag.h) with the Buneman/Grohe/Koch DAG as front
 //    end; a UdcSession kept across rounds shares the subtree pool, so
 //    round N+1 only re-expands the spine the batch's updates damaged.
-//    The compress leg has two flavors (UdcOptions::dag_compressor):
-//    the default emits a cut forest over the DAG's highest-savings
-//    shared subtrees and runs one TreeRePair pass over it (fast:
-//    tree-repair rounds over an input a sharing-factor smaller than
-//    the document); kGrammarRepair runs GrammarRePair over the full
-//    DAG grammar — the paper's grammar-input mode. Re-measured after
-//    the incremental CallGraphCache made repair rounds damage-
-//    proportional (PR 7): the leg got 1.2-1.7x faster (the refresh
-//    sweeps are gone) but remains several times slower than the cut
-//    forest — the residual cost is the initial index build over
-//    thousands of tiny rules and per-round engine work, which full
-//    sharing inflates by construction — so kForestRepair stays the
-//    default.
+//    The compress leg emits a cut forest over the DAG's highest-savings
+//    shared subtrees (DagToForest, shaped by DagForestOptions'
+//    defaults) and runs one TreeRePair pass over it — tree-repair
+//    rounds over an input a sharing-factor smaller than the document.
+//    Few big cuts beat full sharing: every rule is a boundary digrams
+//    cannot cross (docs/PERF.md, "DAG-shared udc baseline").
 //
 // Keeping both modes lets the benches report the paper's comparison
-// and the harsher DAG-shared variant side by side (ROADMAP item).
+// and the harsher DAG-shared variant side by side.
 
 #ifndef SLG_UPDATE_UDC_H_
 #define SLG_UPDATE_UDC_H_
@@ -36,8 +29,6 @@
 #include <cstdint>
 
 #include "src/common/status.h"
-#include "src/core/grammar_repair.h"
-#include "src/dag/dag_builder.h"
 #include "src/dag/value_dag.h"
 #include "src/grammar/grammar.h"
 #include "src/grammar/value.h"
@@ -52,25 +43,9 @@ struct UdcOptions {
   };
   Mode mode = Mode::kClassic;
 
-  enum class DagCompressor {
-    // Default: DagToForest (top-savings shared subtrees as rules, cut
-    // forest) + one TreeRePair pass, split back into rules.
-    kForestRepair,
-    // The paper's grammar-input mode: full-sharing DagToGrammar +
-    // GrammarRePair.
-    kGrammarRepair,
-  };
-  DagCompressor dag_compressor = DagCompressor::kForestRepair;
-
-  // Compress leg, classic mode — also drives the forest repair pass.
+  // Compress leg: TreeRePair over the tree (classic) or the cut forest
+  // (DAG mode).
   RepairOptions tree_repair;
-  // Compress leg, DAG mode with kGrammarRepair.
-  GrammarRepairOptions grammar_repair;
-  // Sharing threshold when the DAG is emitted (both compressors), and
-  // forest shape tuning for kForestRepair (see DagForestOptions).
-  DagOptions dag;
-  int dag_initial_rules = 8;
-  int64_t dag_forest_factor = 8;
 
   // Decompression budget: materialized tree nodes (classic); live
   // subtree-pool nodes across the session plus the compress-leg

@@ -7,8 +7,10 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/datasets/generators.h"
+#include "src/service/apply.h"
 #include "src/xml/xml_writer.h"
 
 namespace slg {
@@ -275,15 +277,101 @@ TEST(CompressedXmlTreeTest, SnapshotBridgeIsStable) {
   EXPECT_EQ(doc2.value().ToXml().value(), kDoc);
 }
 
-TEST(CompressedXmlTreeTest, AutoRecompress) {
+// --- recompression policy ----------------------------------------------
+//
+// One predicate decides every automatic recompression: the facade's,
+// the service's merge trigger and ApplyWorkloadBatched's checkpoints.
+
+TEST(RecompressDueTest, FiresPastTheOpFloorWhenGrowthExceedsTheFraction) {
+  UpdateOptions o;
+  o.growth_trigger = 0.5;
+  o.min_checkpoint_ops = 4;
+  EXPECT_TRUE(RecompressDue(o, 4, 51, 100));
+  EXPECT_FALSE(RecompressDue(o, 4, 50, 100));  // strictly more than
+  EXPECT_FALSE(RecompressDue(o, 3, 1000, 100));  // below the op floor
+  EXPECT_TRUE(RecompressDue(o, 100, 51, 100));
+  o.growth_trigger = 0;  // off, whatever the growth
+  EXPECT_FALSE(RecompressDue(o, 1000, 1000000, 1));
+  o.growth_trigger = -1;
+  EXPECT_FALSE(RecompressDue(o, 1000, 1000000, 1));
+}
+
+// Two facades take the same updates: `doc` recompresses on its own,
+// `twin` (trigger off) only when the test calls Recompress() where the
+// shared predicate fires — computed from each update's effects, taken
+// by applying the same payload to the current snapshot. The two must
+// agree on the op count and stay byte-identical throughout.
+TEST(CompressedXmlTreeTest, AutoRecompressFollowsTheGrowthTrigger) {
+  std::string xml = "<log>";
+  for (int i = 0; i < 40; ++i) xml += "<entry><ip/><date/><status/></entry>";
+  xml += "</log>";
   UpdateOptions opts;
-  opts.auto_recompress_every = 3;
+  opts.growth_trigger = 0.05;
+  opts.min_checkpoint_ops = 3;
+  auto doc_or = CompressedXmlTree::FromXml(xml, {}, opts);
+  auto twin_or = CompressedXmlTree::FromXml(xml);
+  ASSERT_TRUE(doc_or.ok());
+  ASSERT_TRUE(twin_or.ok());
+  CompressedXmlTree doc = doc_or.take();
+  CompressedXmlTree twin = twin_or.take();
+
+  int ops = 0;
+  int64_t edges_added = 0;
+  int64_t base_edges = doc.CompressedSize();
+  std::vector<int> fired;
+  for (int i = 0; i < 30; ++i) {
+    const int64_t preorder = twin.FindElement("entry", 1 + (7 * i) % 40).value();
+    std::string payload =
+        i % 3 == 2 ? EncodeRename(preorder + 1, "addr" + std::to_string(i))
+                   : EncodeInsertXml(preorder, "<entry><ip/><date/></entry>")
+                         .value();
+    BatchEffects effects;
+    ASSERT_TRUE(ApplyEncodedBatch(*twin.Snapshot(), payload, 0, &effects).ok());
+    ++ops;
+    edges_added += effects.edges_added;
+    const bool due = RecompressDue(opts, ops, edges_added, base_edges);
+
+    if (i % 3 == 2) {
+      ASSERT_TRUE(doc.Rename(preorder + 1, "addr" + std::to_string(i)).ok());
+      ASSERT_TRUE(twin.Rename(preorder + 1, "addr" + std::to_string(i)).ok());
+    } else {
+      ASSERT_TRUE(doc.InsertXmlBefore(preorder, "<entry><ip/><date/></entry>")
+                      .ok());
+      ASSERT_TRUE(twin.InsertXmlBefore(preorder, "<entry><ip/><date/></entry>")
+                      .ok());
+    }
+    // With the trigger off the facade never recompresses by itself.
+    EXPECT_EQ(twin.UpdatesSinceRecompress(), ops) << "op " << i;
+    if (due) {
+      twin.Recompress();
+      fired.push_back(ops);
+      ops = 0;
+      edges_added = 0;
+      base_edges = twin.CompressedSize();
+    }
+    EXPECT_EQ(doc.UpdatesSinceRecompress(), ops) << "op " << i;
+    EXPECT_EQ(doc.Serialize(), twin.Serialize()) << "op " << i;
+  }
+  // The trigger fired, and never before the op floor.
+  ASSERT_FALSE(fired.empty());
+  for (int n : fired) EXPECT_GE(n, opts.min_checkpoint_ops);
+  EXPECT_EQ(doc.ToXml().value(), twin.ToXml().value());
+}
+
+TEST(CompressedXmlTreeTest, AutoRecompress) {
+  // Every update grows a small document past 1% of its grammar, so the
+  // trigger fires as soon as the op floor allows.
+  UpdateOptions opts;
+  opts.growth_trigger = 0.01;
+  opts.min_checkpoint_ops = 3;
   auto doc_or = CompressedXmlTree::FromXml(kDoc, {}, opts);
   ASSERT_TRUE(doc_or.ok());
   CompressedXmlTree doc = doc_or.take();
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(doc.Rename(1, "log" + std::to_string(i)).ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(doc.InsertXmlBefore(2, "<entry><ip/></entry>").ok());
   }
+  EXPECT_EQ(doc.UpdatesSinceRecompress(), 2);  // below the op floor
+  ASSERT_TRUE(doc.InsertXmlBefore(2, "<entry><ip/></entry>").ok());
   EXPECT_EQ(doc.UpdatesSinceRecompress(), 0);  // auto-triggered
 }
 

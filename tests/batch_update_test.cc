@@ -209,7 +209,7 @@ TEST(BatchUpdaterTest, ApplyWorkloadBatchedRecompresses) {
   UpdateWorkload w = MakeUpdateWorkload(final_tree, labels, wopts);
 
   Grammar g = TreeRePair(Tree(w.seed), labels, {}).grammar;
-  BatchApplyOptions opts;
+  UpdateOptions opts;
   opts.repair.repair.require_positive_savings = true;
   auto result = ApplyWorkloadBatched(std::move(g), w.ops, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

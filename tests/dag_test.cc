@@ -113,25 +113,23 @@ TEST(DagTest, EvaluatorPoolMatchesDistinctSubtreeCount) {
   Tree bin = EncodeBinary(xml.value(), &labels);
   int64_t distinct = DistinctSubtreeCount(bin);
 
-  DagEvaluator flat_eval;
-  auto flat = flat_eval.Eval(Grammar::ForTree(Tree(bin), labels));
-  ASSERT_TRUE(flat.ok());
-  DagGrammar flat_dag =
-      DagToGrammar(flat_eval.pool(), flat.value(), labels);
-  EXPECT_EQ(flat_dag.reachable_nodes, distinct);
-  ASSERT_TRUE(Validate(flat_dag.grammar).ok());
-  EXPECT_TRUE(TreeEquals(Value(flat_dag.grammar).take(), bin));
-
-  Grammar compressed = TreeRePair(Tree(bin), labels, {}).grammar;
-  DagEvaluator comp_eval;
-  auto comp = comp_eval.Eval(compressed);
-  ASSERT_TRUE(comp.ok());
-  DagGrammar comp_dag = DagToGrammar(comp_eval.pool(), comp.value(),
-                                     compressed.labels());
-  EXPECT_EQ(comp_dag.reachable_nodes, distinct);
-  EXPECT_TRUE(TreeEquals(Value(comp_dag.grammar).take(), bin));
-  // Same pool size too: evaluation interned nothing unreachable.
-  EXPECT_EQ(comp_eval.pool().size(), distinct);
+  auto check = [&](const Grammar& g) {
+    DagEvaluator eval;
+    auto root = eval.Eval(g);
+    ASSERT_TRUE(root.ok());
+    // Same pool size too: evaluation interned nothing unreachable.
+    EXPECT_EQ(eval.pool().size(), distinct);
+    auto forest = DagToForest(eval.pool(), root.value(), g.labels());
+    ASSERT_TRUE(forest.ok());
+    EXPECT_EQ(forest.value().reachable_nodes, distinct);
+    Tree out;
+    auto unfolded = eval.pool().Unfold(root.value(), &out, bin.LiveCount());
+    ASSERT_TRUE(unfolded.ok());
+    out.SetRoot(unfolded.value());
+    EXPECT_TRUE(TreeEquals(out, bin));
+  };
+  check(Grammar::ForTree(Tree(bin), labels));
+  check(TreeRePair(Tree(bin), labels, {}).grammar);
 }
 
 TEST(DagTest, PoolTreeSizeAndUnfold) {

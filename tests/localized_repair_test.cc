@@ -209,7 +209,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AdaptiveTriggerTest, ScheduleAndGrammarAreDeterministic) {
   CorpusFixture f = MakeFixture(Corpus::kMedline, 0.03, 200, 0.1, 13);
-  BatchApplyOptions opts;
+  UpdateOptions opts;
   opts.repair = Recompress();
   opts.growth_trigger = 0.2;
   auto run = [&]() {
@@ -233,7 +233,7 @@ TEST(AdaptiveTriggerTest, ScheduleAndGrammarAreDeterministic) {
 
 TEST(AdaptiveTriggerTest, DisabledTriggerRecompressesOnceAtTheEnd) {
   CorpusFixture f = MakeFixture(Corpus::kExiWeblog, 0.02, 80, 0.1, 3);
-  BatchApplyOptions opts;
+  UpdateOptions opts;
   opts.repair = Recompress();
   opts.growth_trigger = 0.0;
   auto r = ApplyWorkloadBatched(f.seed_grammar.Clone(), f.workload.ops, opts);
@@ -245,10 +245,10 @@ TEST(AdaptiveTriggerTest, DisabledTriggerRecompressesOnceAtTheEnd) {
 
 TEST(AdaptiveTriggerTest, LocalizedAndFullCheckpointsDeriveTheSameDocument) {
   CorpusFixture f = MakeFixture(Corpus::kNcbi, 0.02, 100, 0.1, 29);
-  BatchApplyOptions local_opts;
+  UpdateOptions local_opts;
   local_opts.repair = Recompress();
   local_opts.growth_trigger = 0.25;
-  BatchApplyOptions full_opts = local_opts;
+  UpdateOptions full_opts = local_opts;
   full_opts.localized = false;
   auto local = ApplyWorkloadBatched(f.seed_grammar.Clone(), f.workload.ops,
                                     local_opts);

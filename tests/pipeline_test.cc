@@ -231,15 +231,28 @@ TEST(ShardedCompressTest, DocumentTagsSpelledLikeRuleNames) {
 }
 
 TEST(MergeTest, MergeWithoutFinalRepairIsAlreadyCorrect) {
+  // The merge alone — partition, per-shard TreeRePair, merge + dedup,
+  // no final repair — already yields a valid grammar of the document,
+  // and it is the grammar the pipeline's final pass starts from.
   XmlTree xml = GenerateCorpus(Corpus::kExiTelecomp, 0.02);
   LabelTable labels;
   Tree bin = EncodeBinary(xml, &labels);
   ShardedCompressorOptions o = Opts(6, 2);
-  o.final_repair = FinalRepairMode::kNone;
-  ShardedCompressResult r = ShardedCompress(Tree(bin), labels, o);
-  ASSERT_TRUE(Validate(r.grammar).ok());
-  EXPECT_EQ(r.merged_edges_before_final, ComputeStats(r.grammar).edge_count);
-  EXPECT_EQ(GrammarToXml(r.grammar), WriteXml(xml));
+  PartitionOptions popts;
+  popts.num_shards = o.num_shards;
+  popts.min_shard_nodes = o.min_shard_nodes;
+  TreePartition p = PartitionTree(bin, labels, popts);
+  ASSERT_GT(p.segments.size(), 1u);
+  std::vector<Grammar> shards;
+  for (Tree& segment : p.segments) {
+    shards.push_back(
+        TreeRePair(std::move(segment), p.labels, o.shard_repair).grammar);
+  }
+  Grammar merged = MergeShardGrammars(shards, p.labels, p.hole);
+  ASSERT_TRUE(Validate(merged).ok());
+  EXPECT_EQ(ComputeStats(merged).edge_count,
+            ShardedCompress(Tree(bin), labels, o).merged_edges_before_final);
+  EXPECT_EQ(GrammarToXml(merged), WriteXml(xml));
 }
 
 // --- whole-pipeline properties -----------------------------------------

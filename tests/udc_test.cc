@@ -128,35 +128,6 @@ TEST(UdcSessionTest, DagModeRoundTripsAllCorpora) {
   }
 }
 
-TEST(UdcSessionTest, GrammarRepairCompressorRoundTrips) {
-  // The paper's grammar-input mode (full-sharing DAG grammar +
-  // GrammarRePair) stays a selectable compressor: same correctness and
-  // space contract as the default, sizes in the same band.
-  for (Corpus c : {Corpus::kExiWeblog, Corpus::kMedline}) {
-    Tree original;
-    LabelTable labels;
-    Grammar g = CompressedCorpus(c, 0.01, &original, &labels);
-
-    UdcOptions opts = DagOptionsForTest();
-    opts.dag_compressor = UdcOptions::DagCompressor::kGrammarRepair;
-    opts.grammar_repair.repair.require_positive_savings = true;
-    UdcSession session(opts);
-    auto result = session.Run(g);
-    ASSERT_TRUE(result.ok()) << InfoFor(c).name;
-    ASSERT_TRUE(Validate(result.value().grammar).ok()) << InfoFor(c).name;
-    EXPECT_TRUE(TreeEquals(Value(result.value().grammar).take(), original))
-        << InfoFor(c).name;
-    EXPECT_GT(result.value().dag_nodes, 0);
-    EXPECT_LT(result.value().dag_nodes, result.value().tree_nodes);
-
-    auto classic = UpdateDecompressCompress(g);
-    ASSERT_TRUE(classic.ok());
-    EXPECT_LE(ComputeStats(result.value().grammar).edge_count,
-              ComputeStats(classic.value().grammar).edge_count * 5 / 4 + 8)
-        << InfoFor(c).name;
-  }
-}
-
 TEST(UdcSessionTest, DagModeSizeComparableToClassic) {
   for (Corpus c : {Corpus::kExiWeblog, Corpus::kMedline, Corpus::kNcbi}) {
     Tree original;
