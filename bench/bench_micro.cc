@@ -348,6 +348,70 @@ BENCHMARK(BM_WriterApply)
     ->ArgsProduct({{0, 1}, {1, 2, 4}})
     ->Unit(benchmark::kMicrosecond);
 
+// QueryEngine::Run on a served document, over a size series: treebank /
+// medline at scale x1, x2, x4, x8 (0.1 each), ingested by
+// DocumentService::FromXml like perfbench's documents. Per size, the
+// most frequent tag t: count(//t) (range 2 = 0) and nth(//t, k) with k
+// its middle match (range 2 = 1), which adds the descent. The counters
+// are the evaluation's work: a query costs its (rule, context) pairs
+// and the bodies they walk, so time should follow nodes_walked, not the
+// document.
+struct QueryFixture {
+  std::shared_ptr<const GrammarSnapshot> snapshot;
+  std::string tag;
+  int64_t matches = 0;
+};
+
+QueryFixture& GetQueryFixture(Corpus corpus, int times) {
+  static std::map<std::pair<Corpus, int>, QueryFixture>* fixtures =
+      new std::map<std::pair<Corpus, int>, QueryFixture>();
+  auto [it, fresh] = fixtures->try_emplace({corpus, times});
+  QueryFixture& f = it->second;
+  if (!fresh) return f;
+  XmlTree xml = GenerateCorpus(corpus, 0.1 * times);
+  f.snapshot = DocumentService::FromXml(WriteXml(xml, {}))
+                   .take()
+                   ->OpenReader()
+                   .snapshot_ptr();
+  const Grammar& g = f.snapshot->grammar();
+  Tree full = Value(g).take();
+  std::map<LabelId, int64_t> counts;
+  full.VisitPreorder(full.root(), [&](NodeId v) {
+    if (full.label(v) != kNullLabel) ++counts[full.label(v)];
+  });
+  for (const auto& [l, n] : counts) {
+    if (n > f.matches) {
+      f.matches = n;
+      f.tag = g.labels().Name(l);
+    }
+  }
+  return f;
+}
+
+void BM_QueryRun(benchmark::State& state) {
+  const Corpus corpus =
+      state.range(0) == 0 ? Corpus::kTreebank : Corpus::kMedline;
+  QueryFixture& f = GetQueryFixture(corpus, static_cast<int>(state.range(1)));
+  const bool nth = state.range(2) == 1;
+  const std::string text =
+      nth ? "nth(//" + f.tag + ", " + std::to_string((f.matches + 1) / 2) + ")"
+          : "count(//" + f.tag + ")";
+  QueryStats stats;
+  for (auto _ : state) {
+    StatusOr<QueryResult> res = f.snapshot->RunQuery(text);
+    SLG_CHECK(res.ok() && res.value().count == f.matches);
+    stats = res.value().stats;
+  }
+  state.SetLabel(std::string(corpus == Corpus::kTreebank ? "treebank" : "medline") +
+                 " x" + std::to_string(state.range(1)) + " " + text);
+  state.counters["rules"] = f.snapshot->grammar().RuleCount();
+  state.counters["memo_entries"] = static_cast<double>(stats.memo_entries);
+  state.counters["nodes_walked"] = static_cast<double>(stats.nodes_walked);
+}
+BENCHMARK(BM_QueryRun)
+    ->ArgsProduct({{0, 1}, {1, 2, 4, 8}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
 // Incremental usage propagation in steady state. A star of 1024
 // spokes (S calls every Ai, each Ai calls its private leaf Li); per
 // iteration the call count of the first `k` spokes toggles 1 <-> 2

@@ -9,9 +9,11 @@
 // the sub-linear claim, gated exactly.
 //
 // CI gating (tools/bench_compare.py): result_matches / rules_visited /
-// memo_entries / memo_hits / tree_nodes are deterministic for the
-// pinned workload and must match the committed BENCH_query.json
-// exactly; engine_ms / oracle_ms / speedup are advisory timings.
+// memo_entries / memo_hits / nodes_walked / tree_nodes are
+// deterministic for the pinned workload and must match the committed
+// BENCH_query.json exactly (nodes_walked is the body nodes the
+// evaluation walked: once per memoized (rule, context) pair);
+// engine_ms / oracle_ms / speedup are advisory timings.
 // rules is workload context. The bench itself hard-checks
 // rules_visited <= rule count and engine == oracle on every query.
 //
@@ -174,7 +176,8 @@ int Run(int argc, char** argv) {
     std::string tag = FrequentTag(g);
 
     TablePrinter table({"query", "matches", "rules visited", "memo entries",
-                        "memo hits", "engine ms", "scan ms", "speedup"});
+                        "memo hits", "nodes walked", "engine ms", "scan ms",
+                        "speedup"});
     for (const QueryCase& q : CasesFor(tag)) {
       CaseResult r = RunCase(g, eng, q, reps);
       double speedup = r.engine_ms > 0 ? r.oracle_ms / r.engine_ms : 0;
@@ -182,6 +185,7 @@ int Run(int argc, char** argv) {
                     TablePrinter::Num(r.stats.rules_visited),
                     TablePrinter::Num(r.stats.memo_entries),
                     TablePrinter::Num(r.stats.memo_hits),
+                    TablePrinter::Num(r.stats.nodes_walked),
                     TablePrinter::Fixed(r.engine_ms, 3),
                     TablePrinter::Fixed(r.oracle_ms, 3),
                     TablePrinter::Fixed(speedup, 1)});
@@ -190,6 +194,7 @@ int Run(int argc, char** argv) {
                 {"rules_visited", static_cast<double>(r.stats.rules_visited)},
                 {"memo_entries", static_cast<double>(r.stats.memo_entries)},
                 {"memo_hits", static_cast<double>(r.stats.memo_hits)},
+                {"nodes_walked", static_cast<double>(r.stats.nodes_walked)},
                 {"rules", static_cast<double>(g.RuleCount())},
                 {"engine_ms", r.engine_ms},
                 {"oracle_ms", r.oracle_ms},
@@ -207,7 +212,8 @@ int Run(int argc, char** argv) {
   // counters are gated exactly.
   std::printf("scaling (weblog, count(//tag))\n");
   TablePrinter stable({"scale", "tree nodes", "rules", "rules visited",
-                       "memo entries", "engine ms", "scan ms"});
+                       "memo entries", "nodes walked", "engine ms",
+                       "scan ms"});
   const double kScales[] = {0.005, 0.01, 0.02, 0.04};
   int si = 0;
   for (double s : kScales) {
@@ -222,6 +228,7 @@ int Run(int argc, char** argv) {
                    TablePrinter::Num(g.RuleCount()),
                    TablePrinter::Num(r.stats.rules_visited),
                    TablePrinter::Num(r.stats.memo_entries),
+                   TablePrinter::Num(r.stats.nodes_walked),
                    TablePrinter::Fixed(r.engine_ms, 3),
                    TablePrinter::Fixed(r.oracle_ms, 3)});
     json.Add("query/scaling/weblog/s" + std::to_string(si++),
@@ -229,6 +236,7 @@ int Run(int argc, char** argv) {
               {"rules", static_cast<double>(g.RuleCount())},
               {"rules_visited", static_cast<double>(r.stats.rules_visited)},
               {"memo_entries", static_cast<double>(r.stats.memo_entries)},
+              {"nodes_walked", static_cast<double>(r.stats.nodes_walked)},
               {"result_matches", static_cast<double>(r.answer)},
               {"engine_ms", r.engine_ms},
               {"oracle_ms", r.oracle_ms}});

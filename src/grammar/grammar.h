@@ -14,11 +14,12 @@
 // every benchmark number) reproducible.
 //
 // Rule bodies are shared between clones, copy-on-write: Clone() copies
-// the rule table and the label table, not the trees. rhs() is a
+// the rule table, not the trees, and shares the label table (which
+// copies itself on its first mutation, see label_table.h). rhs() is a
 // read-only view and never copies; mutable_rhs() is the one way to
 // edit a body, and copies it first when another grammar still holds
-// it. So an edit never reaches a clone, and a clone costs O(rules +
-// labels) however large the bodies are. A reference from rhs() stays
+// it. So an edit never reaches a clone, and a clone costs O(rules)
+// however large the bodies and the alphabet are. A reference from rhs() stays
 // valid until this grammar's next mutable_rhs()/set_rhs()/RemoveRule()
 // of the same rule — take it again after editing.
 

@@ -35,23 +35,22 @@ class Evaluator {
   const QueryStats& stats() const { return stats_; }
 
   // Memoizes (rule, ctx) and everything it transitively needs, then
-  // returns the entry. Iterative worklist: a rule whose body calls
-  // rules with not-yet-known contexts re-runs after those resolve;
-  // each retry peels one level of call nesting inside the body, and
-  // the rule DAG is acyclic, so the stack drains.
+  // returns the entry. Iterative: a stack of resumable frames, one per
+  // (rule, ctx) in progress. A frame's forward pass stops at a call
+  // whose (callee, ctx) is not memoized yet and pushes the callee's
+  // frame; once that finishes, the caller resumes at the same call,
+  // which now hits the memo, so each body is walked once per context.
+  // The rule DAG is acyclic, so no pair is ever on the stack twice.
   const MemoEntry* Ensure(LabelId rule, uint64_t ctx) {
-    std::vector<Job> stack{{rule, ctx}};
-    while (!stack.empty()) {
-      Job j = stack.back();
-      if (Lookup(j.rule, j.ctx) != nullptr) {
-        stack.pop_back();
-        continue;
-      }
-      std::vector<Job> missing;
-      if (TryEval(j.rule, j.ctx, &missing)) {
-        stack.pop_back();
+    if (const MemoEntry* e = Lookup(rule, ctx)) return e;
+    size_t depth = 0;
+    Open(depth++, rule, ctx);
+    while (depth > 0) {
+      Job missing;
+      if (Forward(&frames_[depth - 1], &missing)) {
+        Finish(frames_[--depth]);
       } else {
-        for (const Job& m : missing) stack.push_back(m);
+        Open(depth++, missing.rule, missing.ctx);
       }
     }
     return Lookup(rule, ctx);
@@ -162,8 +161,21 @@ class Evaluator {
 
  private:
   struct Job {
-    LabelId rule;
-    uint64_t ctx;
+    LabelId rule = kNoLabel;
+    uint64_t ctx = 0;
+  };
+
+  // One (rule, ctx) evaluation in progress: the body in preorder, the
+  // position of the forward pass in it, and the per-NodeId contexts and
+  // material contributions computed so far.
+  struct Frame {
+    LabelId rule = kNoLabel;
+    uint64_t q = 0;
+    std::vector<NodeId> order;
+    size_t next = 0;
+    std::vector<uint64_t> ctx;
+    std::vector<int64_t> contrib;
+    int64_t hits = 0;  // call sites answered from the memo
   };
 
   // A descent frame: the rule we are inside, the call node in the
@@ -195,21 +207,39 @@ class Evaluator {
     return index_.InContext(f.rule, c, m, f.match_prefix);
   }
 
-  // One forward-then-backward pass over the rule body under context
-  // q. Returns false — storing nothing — when a call's (callee, ctx)
-  // is not memoized yet; the missing pairs are reported for the
-  // worklist and the deeper contexts they unblock surface on retry.
-  bool TryEval(LabelId r, uint64_t q, std::vector<Job>* missing) {
+  // Starts the evaluation of rule r under context q in frames_[slot],
+  // reusing the slot's arrays from earlier frames at that depth.
+  void Open(size_t slot, LabelId r, uint64_t q) {
+    if (slot == frames_.size()) frames_.emplace_back();
+    Frame& f = frames_[slot];
+    f.rule = r;
+    f.q = q;
+    f.next = 0;
+    f.hits = 0;
     const Tree& t = index_.Rhs(r);
-    std::vector<NodeId> order = t.Preorder();
+    f.order.clear();
     NodeId max_id = 0;
-    for (NodeId v : order) max_id = std::max(max_id, v);
-    std::vector<uint64_t> ctx(static_cast<size_t>(max_id) + 1, 0);
-    std::vector<int64_t> contrib(static_cast<size_t>(max_id) + 1, 0);
-    ctx[static_cast<size_t>(index_.RhsRoot(r))] = q;
-    bool complete = true;
-    int64_t local_hits = 0;
-    for (NodeId v : order) {
+    t.VisitPreorder(index_.RhsRoot(r), [&](NodeId v) {
+      f.order.push_back(v);
+      max_id = std::max(max_id, v);
+    });
+    f.ctx.assign(static_cast<size_t>(max_id) + 1, 0);
+    f.contrib.assign(static_cast<size_t>(max_id) + 1, 0);
+    f.ctx[static_cast<size_t>(index_.RhsRoot(r))] = q;
+  }
+
+  // Continues f's forward pass: assigns each node its context and its
+  // own material contribution, in preorder. Returns false, with
+  // *missing set, when it reaches a call whose (callee, ctx) is neither
+  // memoized nor prunable; the call's arguments depend on the callee's
+  // exits, so the pass stops there and resumes at the same call.
+  bool Forward(Frame* f, Job* missing) {
+    const Tree& t = index_.Rhs(f->rule);
+    std::vector<uint64_t>& ctx = f->ctx;
+    const size_t n = f->order.size();
+    const size_t begin = f->next;
+    for (; f->next < n; ++f->next) {
+      NodeId v = f->order[f->next];
       uint64_t u = ctx[static_cast<size_t>(v)];
       LabelId l = t.label(v);
       if (index_.ParamIndex(l) > 0) continue;
@@ -219,8 +249,8 @@ class Evaluator {
           if (CanPrune(l, u)) {
             arg_default = u;
           } else if (const MemoEntry* e = Lookup(l, u)) {
-            ++local_hits;
-            contrib[static_cast<size_t>(v)] = e->count;
+            ++f->hits;
+            f->contrib[static_cast<size_t>(v)] = e->count;
             size_t j = 0;
             for (NodeId c = t.first_child(v); c != kNilNode;
                  c = t.next_sibling(c)) {
@@ -228,10 +258,8 @@ class Evaluator {
             }
             continue;
           } else {
-            missing->push_back(Job{l, u});
-            complete = false;
-            // Leave the arguments on the empty context: their real
-            // contexts are unknowable until the callee resolves.
+            *missing = Job{l, u};
+            break;
           }
         }
         for (NodeId c = t.first_child(v); c != kNilNode;
@@ -242,7 +270,9 @@ class Evaluator {
       }
       // Terminal.
       uint64_t own = plan_.Own(u, l, bound_);
-      if ((own & plan_.AcceptBit()) != 0) contrib[static_cast<size_t>(v)] = 1;
+      if ((own & plan_.AcceptBit()) != 0) {
+        f->contrib[static_cast<size_t>(v)] = 1;
+      }
       NodeId c1 = t.first_child(v);
       if (c1 != kNilNode) {
         ctx[static_cast<size_t>(c1)] = own & ~plan_.AcceptBit();
@@ -256,33 +286,38 @@ class Evaluator {
         }
       }
     }
-    if (!complete) return false;
-    // Bottom-up material match counts; parameters hold zero — callers
-    // add argument counts through the index's parameter intervals.
-    std::vector<int64_t> nm(static_cast<size_t>(max_id) + 1, 0);
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    stats_.nodes_walked += static_cast<int64_t>(f->next - begin);
+    return f->next == n;
+  }
+
+  // The backward pass of a completed frame: bottom-up material match
+  // counts (parameters hold zero — callers add argument counts through
+  // the index's parameter intervals), then the memo entry.
+  void Finish(const Frame& f) {
+    const Tree& t = index_.Rhs(f.rule);
+    nm_.assign(f.contrib.size(), 0);
+    for (auto it = f.order.rbegin(); it != f.order.rend(); ++it) {
       NodeId v = *it;
-      int64_t n = contrib[static_cast<size_t>(v)];
+      int64_t n = f.contrib[static_cast<size_t>(v)];
       for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-        n = SizeSatAdd(n, nm[static_cast<size_t>(c)]);
+        n = SizeSatAdd(n, nm_[static_cast<size_t>(c)]);
       }
-      nm[static_cast<size_t>(v)] = n;
+      nm_[static_cast<size_t>(v)] = n;
     }
     MemoEntry e;
-    e.count = nm[static_cast<size_t>(index_.RhsRoot(r))];
-    int rank = index_.Rank(r);
+    e.count = nm_[static_cast<size_t>(index_.RhsRoot(f.rule))];
+    int rank = index_.Rank(f.rule);
     e.exits.resize(static_cast<size_t>(rank));
     for (int j = 1; j <= rank; ++j) {
       e.exits[static_cast<size_t>(j - 1)] =
-          ctx[static_cast<size_t>(index_.ParamNode(r, j))];
+          f.ctx[static_cast<size_t>(index_.ParamNode(f.rule, j))];
     }
-    if (need_matches_) e.matches = std::move(nm);
-    auto& m = memo_[static_cast<size_t>(r)];
+    if (need_matches_) e.matches = std::move(nm_);
+    auto& m = memo_[static_cast<size_t>(f.rule)];
     if (m.empty()) ++stats_.rules_visited;
-    m.emplace(q, std::move(e));
+    m.emplace(f.q, std::move(e));
     ++stats_.memo_entries;
-    stats_.memo_hits += local_hits;
-    return true;
+    stats_.memo_hits += f.hits;
   }
 
   const Grammar& g_;
@@ -291,6 +326,8 @@ class Evaluator {
   const std::vector<LabelId>& bound_;
   bool need_matches_;
   std::vector<std::unordered_map<uint64_t, MemoEntry>> memo_;  // by rule
+  std::vector<Frame> frames_;  // Ensure's stack; slots keep their arrays
+  std::vector<int64_t> nm_;    // Finish's match counts, when not kept
   QueryStats stats_;
 };
 

@@ -22,6 +22,17 @@
 // count times the number of distinct contexts, and the contexts seen
 // in practice collapse to a handful.
 //
+// Each pair's body is walked exactly once. Evaluation keeps a stack of
+// resumable frames, one per pair in progress: a frame's forward pass
+// (contexts down the body, in preorder) stops at a call whose
+// (callee, ctx) is not memoized yet, the callee's frame is pushed, and
+// when it finishes the caller resumes at that same call, now a memo
+// hit. A call's arguments get their contexts from the callee's exits,
+// so a body whose calls nest inside each other's arguments discovers
+// its pairs one nesting level at a time, without walking again what it
+// already walked. The stack is iterative (the rule DAG can be deep)
+// and never holds a pair twice (the DAG is acyclic).
+//
 // Two shortcuts keep contexts from proliferating:
 //   * the empty context contributes nothing and flows zeros to every
 //     argument — handled inline, never memoized;
@@ -57,10 +68,14 @@ namespace slg {
 // Work accounting of one evaluation, for tests and benchmarks.
 // rules_visited is the number of distinct rules that needed at least
 // one memo entry — by construction at most the grammar's rule count.
+// nodes_walked counts the body nodes the forward passes went past; it
+// equals the sum of the body sizes over the memo_entries pairs, since
+// each pair's body is walked once.
 struct QueryStats {
   int64_t rules_visited = 0;
   int64_t memo_entries = 0;  // distinct (rule, ctx) pairs evaluated
   int64_t memo_hits = 0;     // call sites answered from the memo
+  int64_t nodes_walked = 0;  // body nodes walked by forward passes
 };
 
 struct QueryResult {

@@ -1,19 +1,24 @@
 // Query engine: parse/plan validation, and differential evaluation —
 // every engine answer (count / exists / first / nth and the reported
 // positions) must agree with a decompress-then-scan oracle, on
-// compressed versions of all six corpora and on hand-built
+// compressed versions of all six corpora, on the snapshots a
+// DocumentService serves after write batches, and on hand-built
 // parameterized / deep-chain grammars. The oracle implements the path
 // semantics directly on the materialized binary tree and shares no
-// code with the engine.
+// code with the engine. A work-accounting test pins that evaluation
+// walks each body once per memoized (rule, context) pair.
 
 #include "src/query/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/grammar_repair.h"
@@ -21,6 +26,8 @@
 #include "src/grammar/rule_index.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/value.h"
+#include "src/service/document_service.h"
+#include "src/workload/update_workload.h"
 #include "src/xml/binary_encoding.h"
 #include "tests/exponential_grammars.h"
 
@@ -117,15 +124,20 @@ std::vector<int64_t> OracleMatches(const Tree& t, const LabelTable& labels,
 
 struct EngineFixture {
   const Grammar& g;
-  RuleIndex index;
+  std::shared_ptr<const RuleIndex> index;
   Tree full;
   QueryEngine engine;
 
-  explicit EngineFixture(const Grammar& grammar)
+  // Runs on g's own index — a served snapshot's — or, by default, on
+  // one built from scratch.
+  explicit EngineFixture(const Grammar& grammar,
+                         std::shared_ptr<const RuleIndex> idx = nullptr)
       : g(grammar),
-        index(RuleIndex::Build(g)),
+        index(idx != nullptr
+                  ? std::move(idx)
+                  : std::make_shared<const RuleIndex>(RuleIndex::Build(g))),
         full(Value(g).take()),
-        engine(&g, &index) {}
+        engine(&g, index.get()) {}
 
   // Every label name occurring in the document.
   std::vector<std::string> MaterialNames() const {
@@ -201,8 +213,9 @@ std::string RandomPath(std::mt19937& rng,
   return path;
 }
 
-void DifferentialSweep(const Grammar& g, int rounds, uint32_t seed) {
-  EngineFixture fx(g);
+void DifferentialSweep(const Grammar& g, int rounds, uint32_t seed,
+                       std::shared_ptr<const RuleIndex> index = nullptr) {
+  EngineFixture fx(g, std::move(index));
   std::vector<std::string> names = fx.MaterialNames();
   ASSERT_FALSE(names.empty());
   // Fixed shapes touching every feature.
@@ -223,6 +236,71 @@ TEST_P(QueryCorpusTest, AgreesWithDecompressedScan) {
 
 INSTANTIATE_TEST_SUITE_P(
     All, QueryCorpusTest,
+    ::testing::Values(Corpus::kExiWeblog, Corpus::kXMark,
+                      Corpus::kExiTelecomp, Corpus::kTreebank,
+                      Corpus::kMedline, Corpus::kNcbi),
+    [](const ::testing::TestParamInfo<Corpus>& info) {
+      std::string n = InfoFor(info.param).name;
+      for (char& c : n) {
+        if (c == '-') c = '_';
+      }
+      return n;
+    });
+
+// Served snapshots. Ingest and every merge renumber the bodies they
+// build in preorder, but write batches edit the start rule in place and
+// recycle its freed NodeIds out of preorder, so an evaluation frame
+// sized by the largest NodeId is larger than the body it walks. The
+// sweep runs on the service's own snapshot (its parent-derived index
+// included) after seeded batches, and again after a Flush merged them.
+
+bool NumberedInPreorder(const Tree& t) {
+  NodeId expect = 0;
+  bool in_order = true;
+  t.VisitPreorder(t.root(), [&](NodeId v) { in_order &= v == expect++; });
+  return in_order;
+}
+
+class ServedQueryTest : public ::testing::TestWithParam<Corpus> {};
+
+TEST_P(ServedQueryTest, AgreesWithDecompressedScanBeforeAndAfterFlush) {
+  XmlTree xml = GenerateCorpus(GetParam(), 0.01);
+  LabelTable labels;
+  Tree bin = EncodeBinary(xml, &labels);
+  WorkloadOptions wopts;
+  wopts.num_ops = 60;
+  wopts.seed = 97;
+  wopts.rename_fraction = 0.15;
+  UpdateWorkload w = MakeUpdateWorkload(bin, labels, wopts);
+  Grammar seed =
+      GrammarRePair(Grammar::ForTree(std::move(w.seed), labels), {}).grammar;
+  ServiceOptions opts;
+  opts.update.growth_trigger = 0;  // merge only on Flush()
+  auto svc = DocumentService::FromGrammar(std::move(seed), opts).take();
+  DocumentService::Writer writer = svc->OpenWriter();
+  for (size_t at = 0; at < w.ops.size(); at += 6) {
+    size_t end = std::min(w.ops.size(), at + 6);
+    ASSERT_TRUE(writer.Apply({w.ops.begin() + at, w.ops.begin() + end}).ok());
+  }
+  {
+    SCOPED_TRACE("after write batches");
+    DocumentService::Reader r = svc->OpenReader();
+    const Grammar& g = r.snapshot().grammar();
+    ASSERT_FALSE(NumberedInPreorder(g.rhs(g.start())))
+        << "the batches should leave the start rule out of preorder";
+    DifferentialSweep(g, 25, 20161019, r.snapshot().index());
+  }
+  ASSERT_TRUE(svc->Flush().ok());
+  {
+    SCOPED_TRACE("after Flush");
+    DocumentService::Reader r = svc->OpenReader();
+    DifferentialSweep(r.snapshot().grammar(), 25, 20161020,
+                      r.snapshot().index());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    All, ServedQueryTest,
     ::testing::Values(Corpus::kExiWeblog, Corpus::kXMark,
                       Corpus::kExiTelecomp, Corpus::kTreebank,
                       Corpus::kMedline, Corpus::kNcbi),
@@ -267,6 +345,144 @@ TEST(QueryEngineTest, MemoizationBeatsDocumentSize) {
   StatusOr<QueryResult> all = eng.Run("count(//*)");
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all.value().count, (int64_t{1} << 21) - 1);
+}
+
+// ---------------------------------------------------------------------------
+// Work accounting: each body is walked once per memoized context.
+
+// The (rule, ctx) pairs a query memoizes, found by a plain recursive
+// walk: the plan's transitions and the engine's pruning rule, but none
+// of its iteration scheme. body_nodes() sums the body sizes over those
+// pairs, which is what QueryStats::nodes_walked must equal.
+class PairWalk {
+ public:
+  PairWalk(const Grammar& g, const RuleIndex& index, const QueryPlan& plan)
+      : index_(index), plan_(plan) {
+    for (const QueryStep& step : plan.query().steps) {
+      bound_.push_back(step.wildcard ? kNoLabel : g.labels().Find(step.label));
+    }
+    Visit(g.start(), plan.InitialContext());
+  }
+
+  int64_t pairs() const { return static_cast<int64_t>(exits_.size()); }
+  int64_t rules() const {
+    std::set<LabelId> r;
+    for (const auto& [key, exits] : exits_) r.insert(key.first);
+    return static_cast<int64_t>(r.size());
+  }
+  int64_t body_nodes() const { return body_nodes_; }
+
+ private:
+  // A context of descendant states none of whose labels the rule can
+  // contain reproduces itself: no memo entry.
+  bool Prunable(LabelId rule, uint64_t ctx) const {
+    if (!plan_.OnlyDescendantStates(ctx)) return false;
+    for (uint64_t bits = ctx; bits != 0; bits &= bits - 1) {
+      size_t i = static_cast<size_t>(plan_.StateStep(__builtin_ctzll(bits)));
+      if (plan_.query().steps[i].wildcard) return false;
+      if (bound_[i] != kNoLabel && index_.MayContain(rule, bound_[i])) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // The contexts at r's parameters under context q.
+  const std::vector<uint64_t>& Visit(LabelId r, uint64_t q) {
+    auto found = exits_.find({r, q});
+    if (found != exits_.end()) return found->second;
+    const Tree& t = index_.Rhs(r);
+    std::map<NodeId, uint64_t> ctx = {{index_.RhsRoot(r), q}};
+    for (NodeId v : t.Preorder()) {
+      ++body_nodes_;
+      uint64_t u = ctx[v];
+      LabelId l = t.label(v);
+      std::vector<NodeId> kids;
+      for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
+        kids.push_back(c);
+      }
+      if (index_.ParamIndex(l) > 0) continue;
+      if (index_.IsNonterminal(l)) {
+        if (u != 0 && !Prunable(l, u)) {
+          const std::vector<uint64_t>& e = Visit(l, u);
+          for (size_t j = 0; j < kids.size(); ++j) ctx[kids[j]] = e[j];
+        } else {
+          for (NodeId c : kids) ctx[c] = u;
+        }
+        continue;
+      }
+      for (size_t j = 0; j < kids.size(); ++j) {
+        ctx[kids[j]] = j == 0   ? plan_.Own(u, l, bound_) & ~plan_.AcceptBit()
+                       : j == 1 ? plan_.Next(u, l, bound_)
+                                : 0;
+      }
+    }
+    std::vector<uint64_t> exits;
+    for (int j = 1; j <= index_.Rank(r); ++j) {
+      exits.push_back(ctx[index_.ParamNode(r, j)]);
+    }
+    return exits_.emplace(std::make_pair(r, q), std::move(exits))
+        .first->second;
+  }
+
+  const RuleIndex& index_;
+  const QueryPlan& plan_;
+  std::vector<LabelId> bound_;
+  std::map<std::pair<LabelId, uint64_t>, std::vector<uint64_t>> exits_;
+  int64_t body_nodes_ = 0;
+};
+
+void ExpectOneWalkPerContext(const Grammar& g, const std::string& text) {
+  SCOPED_TRACE("query: " + text);
+  RuleIndex index = RuleIndex::Build(g);
+  QueryEngine engine(&g, &index);
+  StatusOr<QueryPlan> plan = QueryPlan::Compile(Query::Parse(text).take());
+  ASSERT_TRUE(plan.ok());
+  StatusOr<QueryResult> res = engine.Run(plan.value());
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  const QueryStats& st = res.value().stats;
+  PairWalk walk(g, index, plan.value());
+  EXPECT_GT(walk.pairs(), 0);
+  EXPECT_EQ(st.memo_entries, walk.pairs());
+  EXPECT_EQ(st.rules_visited, walk.rules());
+  EXPECT_EQ(st.nodes_walked, walk.body_nodes());
+}
+
+TEST(QueryWorkTest, ParameterizedChainWalksEachBodyOncePerContext) {
+  // Every Ai's body nests A(i+1) inside an argument of A(i+1).
+  Grammar g = ParameterizedChainGrammar(6);
+  for (const char* q : {"count(//a)", "count(/r/a/a/a)", "count(//*)",
+                        "first(//a/a/e)", "exists(/r/*/a[1])"}) {
+    ExpectOneWalkPerContext(g, q);
+  }
+}
+
+TEST(QueryWorkTest, DeeplyNestedStartRuleWalksOncePerContext) {
+  // The start rule nests seven calls, each inside the previous one's
+  // argument; a child-axis path gives every nesting level its own
+  // context, so no call's context is known before the enclosing call
+  // is evaluated.
+  Grammar g = GrammarFromRules({"S -> r(A(A(A(A(A(A(A(e))))))),~)",
+                                "A -> a(B($1),~)", "B -> b(~,$1)"})
+                  .take();
+  for (const char* q :
+       {"count(/r/a/a/a/a/a/a/a/e)", "count(/r/a/a/a//e)", "count(//a)",
+        "count(//*)", "first(/r/a/a/a/a/a/a/a)"}) {
+    ExpectOneWalkPerContext(g, q);
+  }
+}
+
+TEST(QueryWorkTest, TreebankWalksEachBodyOncePerContext) {
+  Grammar g = CompressedCorpus(Corpus::kTreebank);
+  EngineFixture fx(g);
+  std::vector<std::string> names = fx.MaterialNames();
+  ASSERT_GE(names.size(), 3u);
+  ExpectOneWalkPerContext(g, "count(//*)");
+  ExpectOneWalkPerContext(g, "count(/*/*/*)");
+  for (size_t i = 0; i < names.size(); i += names.size() / 3) {
+    ExpectOneWalkPerContext(g, "count(//" + names[i] + ")");
+    ExpectOneWalkPerContext(g, "count(//" + names[i] + "/*)");
+  }
 }
 
 TEST(QueryParseTest, RoundTripAndErrors) {

@@ -20,7 +20,10 @@ The bench JSON format is flat: {"benchmarks": [{"name": ..., <metric>:
                 rescans), "_bytes"/"_batches" (journal bytes and
                 replay counts from the durable store), or
                 "_nodes"/"_peak"/"_reused"/"_hits"/"_misses" (DAG pool
-                and memo statistics). All deterministic for a fixed
+                and memo statistics), or "_visited"/"_entries"/
+                "_matches"/"_walked" (query-engine work: rules visited,
+                memo entries, answers, body nodes walked). All
+                deterministic for a fixed
                 workload; any difference from the baseline fails — a
                 drifting rescan count means a per-round sweep silently
                 stopped being damage-proportional, a drifting byte
@@ -53,7 +56,7 @@ IGNORED_KEYS = {"hardware_threads"}  # varies by runner, by design
 
 EXACT_SUFFIXES = ("_rounds", "_rescanned", "_bytes", "_batches", "_nodes",
                   "_peak", "_reused", "_hits", "_misses", "_visited",
-                  "_entries", "_matches")
+                  "_entries", "_matches", "_walked")
 
 
 def is_timing(key):
