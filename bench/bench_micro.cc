@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "src/core/cursor.h"
 #include "src/core/grammar_repair.h"
 #include "src/core/retrieve_occs.h"
+#include "src/core/snapshot_nav.h"
 #include "src/datasets/generators.h"
 #include "src/grammar/rule_index.h"
 #include "src/grammar/text_format.h"
@@ -412,6 +414,49 @@ BENCHMARK(BM_QueryRun)
     ->ArgsProduct({{0, 1}, {1, 2, 4, 8}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
+// SnapshotNav::LabelAt on a served document, over the snapshots of the
+// BM_QueryRun series (treebank / medline at scale x1, x2, x4, x8, 0.1
+// each), at 1024 seeded uniform positions taken in turn. `steps` is the
+// mean number of body nodes a descent stands on (NavStats): stepping
+// over the arguments that do not hold the position, a call costs its
+// path through the start rule and the rules it must enter, not the
+// bodies of every rule on the way.
+void BM_LabelAt(benchmark::State& state) {
+  const Corpus corpus =
+      state.range(0) == 0 ? Corpus::kTreebank : Corpus::kMedline;
+  QueryFixture& f = GetQueryFixture(corpus, static_cast<int>(state.range(1)));
+  const SnapshotNav& nav = f.snapshot->nav();
+  std::mt19937_64 rng(20161019);
+  std::uniform_int_distribution<int64_t> uniform(1, nav.DerivedSize());
+  std::vector<int64_t> positions(1024);
+  for (int64_t& p : positions) p = uniform(rng);
+  size_t i = 0;
+  for (auto _ : state) {
+    StatusOr<LabelId> l = nav.LabelAt(positions[i]);
+    SLG_CHECK(l.ok());
+    benchmark::DoNotOptimize(l);
+    i = (i + 1) % positions.size();
+  }
+  NavStats total;
+  for (int64_t p : positions) {
+    NavStats s;
+    SLG_CHECK(nav.LabelAt(p, &s).ok());
+    total.steps += s.steps;
+    total.frames_entered += s.frames_entered;
+  }
+  const double n = static_cast<double>(positions.size());
+  state.SetLabel(std::string(corpus == Corpus::kTreebank ? "treebank" : "medline") +
+                 " x" + std::to_string(state.range(1)));
+  state.counters["nodes"] = static_cast<double>(nav.DerivedSize());
+  state.counters["rules"] = f.snapshot->grammar().RuleCount();
+  state.counters["steps"] = static_cast<double>(total.steps) / n;
+  state.counters["frames_entered"] =
+      static_cast<double>(total.frames_entered) / n;
+}
+BENCHMARK(BM_LabelAt)
+    ->ArgsProduct({{0, 1}, {1, 2, 4, 8}})
+    ->Unit(benchmark::kMicrosecond);
+
 // Incremental usage propagation in steady state. A star of 1024
 // spokes (S calls every Ai, each Ai calls its private leaf Li); per
 // iteration the call count of the first `k` spokes toggles 1 <-> 2
@@ -573,17 +618,22 @@ BENCHMARK(BM_SpanEnterExitEnabled);
 // Custom main: identical to BENCHMARK_MAIN() except that results are
 // also written to BENCH_micro.json (JSON reporter) unless the caller
 // passes their own --benchmark_out, so the perf trajectory of the hot
-// paths is machine-readable from every run, and that glibc never
-// trims the heap top (256 MiB threshold, as GLIBC_TUNABLES=
-// glibc.malloc.trim_threshold=268435456). Trimming between iterations
-// of a loop that allocates and frees whole grammars (BM_WriterApply)
-// lands the next iteration on freshly faulted pages or not depending
-// on allocation sizes, which moved that series by up to 15% between
-// builds of the same code path. Setting the trim threshold also fixes
-// glibc's mmap threshold at its 128 KiB default, so larger blocks are
-// mapped fresh each time: a stable level, not the served one.
+// paths is machine-readable from every run, and that the allocator is
+// pinned: glibc never trims the heap top (256 MiB threshold, as
+// GLIBC_TUNABLES=glibc.malloc.trim_threshold=268435456) and serves
+// blocks up to 32 MiB from the heap (glibc.malloc.mmap_threshold=
+// 33554432). Trimming between iterations of a loop that allocates and
+// frees whole grammars (BM_WriterApply) lands the next iteration on
+// freshly faulted pages or not depending on allocation sizes, which
+// moved that series by up to 15% between builds of the same code path.
+// Setting the trim threshold alone also switches off glibc's dynamic
+// mmap threshold and leaves it at 128 KiB, so the larger documents'
+// arena copies would be mapped fresh on every iteration, a cost a
+// served write (dynamic threshold: such blocks soon come from the
+// heap) does not pay; the mmap threshold above every arena removes it.
 int main(int argc, char** argv) {
-  mallopt(M_TRIM_THRESHOLD, 256 << 20);
+  SLG_CHECK(mallopt(M_TRIM_THRESHOLD, 256 << 20) == 1);
+  SLG_CHECK(mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1);  // glibc's maximum
   std::vector<char*> args =
       slg::BenchmarkArgsWithJsonDefault(argc, argv, "BENCH_micro.json");
   int ac = static_cast<int>(args.size());

@@ -11,56 +11,76 @@ namespace slg {
 SnapshotNav::SnapshotNav(const Grammar* g, const RuleIndex* index)
     : g_(g), index_(index), derived_size_(index->DerivedSize()) {}
 
-StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder) const {
+SnapshotNav::Frames::Frames(LabelId start) {
+  stack.push_back(Frame{start, kNilNode, 0});
+  sizes.push_back(0);
+}
+
+void SnapshotNav::Frames::Pop() {
+  sizes.resize(stack.back().base);
+  stack.pop_back();
+}
+
+StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder,
+                                       NavStats* stats) const {
   if (preorder < 1 || preorder > derived_size_) {
     return Status::OutOfRange("preorder position outside the document");
   }
+  NavStats work;
   // k counts positions remaining within the derived subtree of the
   // current node; k == 1 at a terminal means "this is the node".
   int64_t k = preorder;
-  std::vector<Frame> frames;
-  frames.push_back(Frame{g_->start(), kNilNode, {}, {}});
+  Frames fs(g_->start());
   LabelId rule = g_->start();
   NodeId v = index_->RhsRoot(rule);
   for (;;) {
-    ResolveToTerminal(
-        *index_, rule, v,
-        [&]() -> std::pair<LabelId, NodeId> {
-          // Parameter: the derived subtree is the call's argument —
-          // resume there, in the caller's context. k is unchanged.
-          NodeId call = frames.back().call;
-          frames.pop_back();
-          return {frames.back().rule, call};
-        },
-        [&](LabelId callee) {
-          // Call: precompute the argument-size prefix sums the body's
-          // parameter ranges need.
-          const Frame& f = frames.back();
-          const Tree& t = index_->Rhs(rule);
-          Frame nf;
-          nf.rule = callee;
-          nf.call = v;
-          nf.size_prefix.resize(static_cast<size_t>(index_->Rank(callee)) + 1);
-          nf.size_prefix[0] = 0;
-          size_t j = 0;
-          for (NodeId c = t.first_child(v); c != kNilNode;
-               c = t.next_sibling(c)) {
-            nf.size_prefix[j + 1] =
-                SizeSatAdd(nf.size_prefix[j], DerivedIn(f, c));
-            ++j;
-          }
-          frames.push_back(std::move(nf));
-          return true;
-        });
-    // Terminal: this node holds preorder position 1 of its subtree.
-    const Frame& f = frames.back();
+    ++work.steps;
     const Tree& t = index_->Rhs(rule);
     LabelId l = t.label(v);
-    if (k == 1) return l;
+    if (int pj = index_->ParamIndex(l); pj > 0) {
+      // The position lies in the argument of the call that entered this
+      // rule: resume there, in the caller's context, k unchanged. Only
+      // reachable if a callee was entered for a position outside its
+      // material, which LocateInCall rules out (frames_left pins it).
+      NodeId call = fs.top().call;
+      fs.Pop();
+      ++work.frames_left;
+      rule = fs.top().rule;
+      v = index_->Rhs(rule).Child(call, pj);
+      continue;
+    }
+    const Frame& f = fs.top();
+    if (index_->IsNonterminal(l)) {
+      NodeId arg = LocateInCall(*index_, t, v, k, [&](NodeId a) {
+        return DerivedIn(fs, f, a);
+      });
+      if (arg != kNilNode) {
+        v = arg;
+        continue;
+      }
+      // The position lies in the callee's material: enter its body with
+      // the prefix sums its parameter ranges need.
+      size_t base = fs.sizes.size();
+      fs.sizes.push_back(0);
+      for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
+        int64_t d = DerivedIn(fs, f, c);
+        fs.sizes.push_back(SizeSatAdd(fs.sizes.back(), d));
+      }
+      fs.stack.push_back(Frame{l, v, base});
+      ++work.frames_entered;
+      rule = l;
+      v = index_->RhsRoot(l);
+      continue;
+    }
+    // Terminal: this node holds preorder position 1 of its subtree.
+    if (k == 1) {
+      if (stats != nullptr) *stats = work;
+      return l;
+    }
     --k;
     NodeId next = kNilNode;
     for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-      int64_t d = DerivedIn(f, c);
+      int64_t d = DerivedIn(fs, f, c);
       if (k <= d) {
         next = c;
         break;
@@ -76,39 +96,59 @@ void SnapshotNav::BuildOccIndex(LabelId want, OccIndex* occ) const {
   size_t num_labels = static_cast<size_t>(index_->num_labels());
   occ->val.assign(num_labels, -1);
   occ->static_occ.resize(num_labels);
-  // Iterative post-order over the rule DAG: a rule is computed once
-  // every callee's count is known. Straight-line grammars are acyclic,
-  // so the worklist terminates; a rule re-pushed by several callers
-  // pops immediately once computed.
-  std::vector<LabelId> stack;
-  stack.push_back(g_->start());
-  while (!stack.empty()) {
-    LabelId r = stack.back();
-    if (occ->val[static_cast<size_t>(r)] >= 0) {
-      stack.pop_back();
-      continue;
+  // Depth-first post-order over the rule DAG, each rule visited once:
+  // a visit scans its body for callees not yet counted, suspends at
+  // each one while the callee's visit runs, and counts its own nodes
+  // once every callee's count is known. Straight-line grammars are
+  // acyclic, so a rule is never met while its own visit is open. The
+  // visits' preorders share one buffer: visit i's sits at
+  // order[begin, end), where end is the next visit's begin (or the
+  // buffer's size for the innermost one).
+  struct Visit {
+    LabelId rule;
+    size_t begin;
+    size_t next;  // next body node to scan for callees
+    NodeId max_id;
+  };
+  std::vector<Visit> visits;
+  std::vector<NodeId> order;
+  auto open = [&](LabelId r) -> bool {
+    if (!index_->MayContain(r, want)) {
+      // No occurrence in the whole sub-DAG: the filter covers callees.
+      occ->val[static_cast<size_t>(r)] = 0;
+      return false;
     }
+    occ->val[static_cast<size_t>(r)] = -2;  // open
+    Visit vis{r, order.size(), order.size(), 0};
     const Tree& t = index_->Rhs(r);
-    std::vector<NodeId> order = t.Preorder();
-    bool ready = true;
-    for (NodeId v : order) {
-      LabelId l = t.label(v);
-      if (index_->IsNonterminal(l) && occ->val[static_cast<size_t>(l)] < 0) {
-        stack.push_back(l);
-        ready = false;
+    t.VisitPreorder(t.root(), [&](NodeId v) {
+      order.push_back(v);
+      vis.max_id = std::max(vis.max_id, v);
+    });
+    visits.push_back(vis);
+    return true;
+  };
+  open(g_->start());
+  while (!visits.empty()) {
+    Visit& vis = visits.back();
+    const Tree& t = index_->Rhs(vis.rule);
+    bool suspended = false;
+    while (!suspended && vis.next < order.size()) {
+      LabelId l = t.label(order[vis.next++]);
+      if (index_->IsNonterminal(l) && occ->val[static_cast<size_t>(l)] == -1) {
+        suspended = open(l);  // invalidates vis when it opens
       }
     }
-    if (!ready) continue;
-    NodeId max_id = 0;
-    for (NodeId v : order) max_id = std::max(max_id, v);
-    std::vector<int64_t>& so = occ->static_occ[static_cast<size_t>(r)];
-    so.assign(static_cast<size_t>(max_id) + 1, 0);
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      NodeId v = *it;
+    if (suspended) continue;
+    std::vector<int64_t>& so = occ->static_occ[static_cast<size_t>(vis.rule)];
+    so.assign(static_cast<size_t>(vis.max_id) + 1, 0);
+    for (size_t i = order.size(); i-- > vis.begin;) {
+      NodeId v = order[i];
       LabelId l = t.label(v);
       int64_t o = 0;
       if (index_->IsNonterminal(l)) {
         o = occ->val[static_cast<size_t>(l)];
+        SLG_DCHECK(o >= 0);
       } else if (index_->ParamIndex(l) == 0 && l == want) {
         o = 1;
       }
@@ -117,8 +157,9 @@ void SnapshotNav::BuildOccIndex(LabelId want, OccIndex* occ) const {
       }
       so[static_cast<size_t>(v)] = o;
     }
-    occ->val[static_cast<size_t>(r)] = so[static_cast<size_t>(t.root())];
-    stack.pop_back();
+    occ->val[static_cast<size_t>(vis.rule)] = so[static_cast<size_t>(t.root())];
+    order.resize(vis.begin);
+    visits.pop_back();
   }
 }
 
@@ -137,8 +178,8 @@ StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
   // accumulating the preorder position from subtree sizes. pos counts
   // the nodes strictly before the current subtree.
   int64_t pos = 0;
-  std::vector<Frame> frames;
-  frames.push_back(Frame{g_->start(), kNilNode, {}, {}});
+  Frames fs(g_->start());
+  std::vector<int64_t> occ_prefix = {0};  // parallel to fs.sizes
   LabelId rule = g_->start();
   NodeId v = index_->RhsRoot(rule);
   for (;;) {
@@ -146,53 +187,46 @@ StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
     ResolveToTerminal(
         *index_, rule, v,
         [&]() -> std::pair<LabelId, NodeId> {
-          NodeId call = frames.back().call;
-          frames.pop_back();
-          return {frames.back().rule, call};
+          NodeId call = fs.top().call;
+          occ_prefix.resize(fs.top().base);
+          fs.Pop();
+          return {fs.top().rule, call};
         },
         [&](LabelId callee) {
-          const Frame& f = frames.back();
+          const Frame& f = fs.top();
           const Tree& t = index_->Rhs(rule);
-          Frame nf;
-          nf.rule = callee;
-          nf.call = v;
-          size_t rank = static_cast<size_t>(index_->Rank(callee));
-          nf.size_prefix.resize(rank + 1);
-          nf.occ_prefix.resize(rank + 1);
-          nf.size_prefix[0] = 0;
-          nf.occ_prefix[0] = 0;
-          size_t j = 0;
+          size_t base = fs.sizes.size();
+          fs.sizes.push_back(0);
+          occ_prefix.push_back(0);
           for (NodeId c = t.first_child(v); c != kNilNode;
                c = t.next_sibling(c)) {
-            nf.size_prefix[j + 1] =
-                SizeSatAdd(nf.size_prefix[j], DerivedIn(f, c));
-            nf.occ_prefix[j + 1] =
-                SizeSatAdd(nf.occ_prefix[j], OccIn(occ, f, c));
-            ++j;
+            int64_t d = DerivedIn(fs, f, c);
+            int64_t o = OccIn(occ, occ_prefix, f, c);
+            fs.sizes.push_back(SizeSatAdd(fs.sizes.back(), d));
+            occ_prefix.push_back(SizeSatAdd(occ_prefix.back(), o));
           }
           // O(1) finish: the target is the first occurrence inside
           // this call and the arguments carry none, so it is the
           // callee's first material occurrence — whose derived offset
           // is its static offset plus the sizes of the arguments
           // preceding it (the index's first-occurrence table).
-          if (k == 1 && nf.occ_prefix[rank] == 0) {
+          if (k == 1 && occ_prefix.back() == 0) {
             if (std::optional<RuleIndex::FirstOcc> fo =
                     index_->FirstOccurrence(callee, want)) {
               shortcut = SizeSatAdd(
-                  pos,
-                  SizeSatAdd(
-                      SizeSatAdd(fo->offset,
-                                 nf.size_prefix[static_cast<size_t>(
-                                     fo->params_before)]),
-                      1));
+                  pos, SizeSatAdd(
+                           SizeSatAdd(fo->offset,
+                                      fs.sizes[base + static_cast<size_t>(
+                                                          fo->params_before)]),
+                           1));
               return false;
             }
           }
-          frames.push_back(std::move(nf));
+          fs.stack.push_back(Frame{callee, v, base});
           return true;
         });
     if (shortcut >= 0) return shortcut;
-    const Frame& f = frames.back();
+    const Frame& f = fs.top();
     const Tree& t = index_->Rhs(rule);
     LabelId l = t.label(v);
     if (l == want) {
@@ -202,13 +236,13 @@ StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
     pos = SizeSatAdd(pos, 1);
     NodeId next = kNilNode;
     for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-      int64_t oc = OccIn(occ, f, c);
+      int64_t oc = OccIn(occ, occ_prefix, f, c);
       if (k <= oc) {
         next = c;
         break;
       }
       k -= oc;
-      pos = SizeSatAdd(pos, DerivedIn(f, c));
+      pos = SizeSatAdd(pos, DerivedIn(fs, f, c));
     }
     SLG_CHECK_MSG(next != kNilNode, "occurrence index inconsistent");
     v = next;

@@ -11,20 +11,29 @@
 // sizes tell it which child subtree covers the requested position.
 //
 // The per-rule facts the descent needs — static sizes, parameter
-// intervals, first-occurrence offsets — come from the version's
-// RuleIndex (grammar/rule_index.h), built once per snapshot and
-// shared with the cursor and the query engine; with per-call
+// intervals, segment sizes, first-occurrence offsets — come from the
+// version's RuleIndex (grammar/rule_index.h), built once per snapshot
+// and shared with the cursor and the query engine; with per-call
 // prefix sums over the actual argument sizes, the derived size of any
 // body node in context is O(1):
 //   derived(v | args) = static_size[v] + sum(args[lo..hi]).
 //
-// LabelAt descends root-to-target in O(depth · rank); FindLabel
-// additionally computes per-rule occurrence counts of the wanted label
-// (one O(|G|) pass per query) and then descends the same way — both
-// sub-linear in the document, neither touching the grammar. When the
-// remaining target is the first occurrence inside a call whose
-// arguments carry none, the index's first-occurrence offset finishes
-// the descent in O(1) instead of walking the rest of the spine.
+// LabelAt steps over arguments the way path isolation does: at a call
+// it scans the callee's segment sizes size(B, i) against the
+// arguments' derived sizes (LocateInCall) and moves straight to the
+// argument that holds the position, staying in the current rule; it
+// enters the callee only when the position lies in the callee's own
+// material. Each rule entered is entered for good — the descent never
+// meets a parameter — so a call costs O(rank) and the whole descent
+// O(body nodes on the root-to-target path + rank per call on it),
+// with no frame ever popped. FindLabel first computes per-rule
+// occurrence counts of the wanted label (one pass over the rules
+// whose filter admits it, per query) and then descends steering by
+// counts, entering every call on its path; both are sub-linear in the
+// document and neither touches the grammar. When the remaining target
+// is the first occurrence inside a call whose arguments carry none,
+// the index's first-occurrence offset finishes FindLabel's descent in
+// O(1) instead of walking the rest of the spine.
 //
 // All sizes saturate at kSizeCap (value.h); positions beyond the cap
 // are not addressable, matching every other size computation in the
@@ -48,6 +57,15 @@
 
 namespace slg {
 
+// Work of one LabelAt descent: body nodes it stood on, rules it
+// entered at a call and frames it popped at a parameter (none: the
+// descent enters a rule only where the position lies in its material).
+struct NavStats {
+  int64_t steps = 0;
+  int64_t frames_entered = 0;
+  int64_t frames_left = 0;
+};
+
 class SnapshotNav {
  public:
   // Borrows g and index (the RuleIndex of *g) for its lifetime; does
@@ -62,8 +80,9 @@ class SnapshotNav {
   int64_t DerivedSize() const { return derived_size_; }
 
   // Label at the 1-based binary preorder position of val(S).
-  // OutOfRange outside [1, DerivedSize()].
-  StatusOr<LabelId> LabelAt(int64_t preorder) const;
+  // OutOfRange outside [1, DerivedSize()]. `stats`, when non-null,
+  // receives the descent's work.
+  StatusOr<LabelId> LabelAt(int64_t preorder, NavStats* stats = nullptr) const;
 
   // 1-based binary preorder position of the k-th (1-based) node of
   // val(S) labeled `want`. InvalidArgument when k < 1; NotFound when
@@ -71,36 +90,53 @@ class SnapshotNav {
   StatusOr<int64_t> FindLabel(LabelId want, int64_t k) const;
 
  private:
-  // A call frame of the descent: the rule we are inside, the call node
-  // in the *enclosing* rule's body that got us here, and prefix sums
-  // over this rule's argument sizes (prefix[j] = derived sizes of
-  // arguments 1..j summed; prefix[0] = 0). FindLabel carries a second
-  // prefix over argument occurrence counts.
+  // The call frames of a descent, innermost last: the rule we are
+  // inside and the call node in the *enclosing* rule's body that got us
+  // there. Prefix sums over a frame's argument sizes sit in one flat
+  // buffer at sizes[base .. base + rank] (sizes[base + j] = derived
+  // sizes of arguments 1..j summed, sizes[base] = 0); FindLabel keeps
+  // the same sums over argument occurrence counts at the same offsets
+  // of a second buffer.
   struct Frame {
     LabelId rule;
     NodeId call;
-    std::vector<int64_t> size_prefix;
-    std::vector<int64_t> occ_prefix;
+    size_t base;
+  };
+  struct Frames {
+    std::vector<Frame> stack;
+    std::vector<int64_t> sizes;
+    // The start rule's frame (rank 0: no arguments).
+    explicit Frames(LabelId start);
+    const Frame& top() const { return stack.back(); }
+    // Removes the innermost frame and its prefix sums.
+    void Pop();
   };
 
-  // derived(v | frame's arguments) for a body node of frame.rule.
-  int64_t DerivedIn(const Frame& f, NodeId v) const {
-    return index_->DerivedIn(f.rule, v, f.size_prefix);
+  // derived(v | frame's arguments) for a body node of f.rule.
+  int64_t DerivedIn(const Frames& fs, const Frame& f, NodeId v) const {
+    return index_->DerivedIn(f.rule, v, fs.sizes.data() + f.base);
   }
 
-  // Per-rule occurrence counts of `want` (occ[l] = occurrences in
+  // Per-rule occurrence counts of `want` (val[l] = occurrences in
   // val(l), parameters contributing nothing) plus per-node static
-  // occurrence counts, computed by an iterative pass over the
-  // reachable rule DAG. Purely local to one query — SnapshotNav keeps
-  // no mutable state, so concurrent queries stay race-free.
+  // occurrence counts, computed by one depth-first pass over the
+  // reachable rules whose label filter admits `want`; a rule the
+  // filter rejects counts 0 and keeps an empty per-node vector
+  // (InContext reads it as all-zero). Purely local to one query —
+  // SnapshotNav keeps no mutable state, so concurrent queries stay
+  // race-free.
   struct OccIndex {
-    std::vector<int64_t> val;                       // by LabelId; -1 unset
-    std::vector<std::vector<int64_t>> static_occ;   // by LabelId, by NodeId
+    std::vector<int64_t> val;  // by LabelId; -1 unset, -2 while counting
+    std::vector<std::vector<int64_t>> static_occ;  // by LabelId, by NodeId
   };
   void BuildOccIndex(LabelId want, OccIndex* occ) const;
-  int64_t OccIn(const OccIndex& occ, const Frame& f, NodeId v) const {
-    return index_->InContext(
-        f.rule, v, occ.static_occ[static_cast<size_t>(f.rule)], f.occ_prefix);
+  // Occurrences in the derived subtree of body node v of f.rule, with
+  // f's occurrence prefix sums at occ_prefix[f.base ..].
+  int64_t OccIn(const OccIndex& occ, const std::vector<int64_t>& occ_prefix,
+                const Frame& f, NodeId v) const {
+    return index_->InContext(f.rule, v,
+                             occ.static_occ[static_cast<size_t>(f.rule)],
+                             occ_prefix.data() + f.base);
   }
 
   const Grammar* g_;

@@ -159,9 +159,9 @@ class RuleIndex {
 
   // derived(v | arguments): static size plus the argument-size prefix
   // over the parameter interval under v. size_prefix[j] = derived
-  // sizes of arguments 1..j summed, size_prefix[0] = 0.
-  int64_t DerivedIn(LabelId rule, NodeId v,
-                    const std::vector<int64_t>& size_prefix) const {
+  // sizes of arguments 1..j summed, size_prefix[0] = 0 (Rank(rule) + 1
+  // entries; never read for a rank-0 rule).
+  int64_t DerivedIn(LabelId rule, NodeId v, const int64_t* size_prefix) const {
     const View& b = views_[static_cast<size_t>(rule)];
     return Combine(b, v, b.static_size[static_cast<size_t>(v)], size_prefix);
   }
@@ -171,7 +171,7 @@ class RuleIndex {
   // an empty vector reads as all-zero) plus the caller's per-argument
   // prefix sums over the parameter interval under v.
   int64_t InContext(LabelId rule, NodeId v, const std::vector<int64_t>& values,
-                    const std::vector<int64_t>& prefix) const {
+                    const int64_t* prefix) const {
     return Combine(views_[static_cast<size_t>(rule)], v,
                    values.empty() ? 0 : values[static_cast<size_t>(v)],
                    prefix);
@@ -278,7 +278,7 @@ class RuleIndex {
   }
 
   static int64_t Combine(const View& b, NodeId v, int64_t x,
-                         const std::vector<int64_t>& prefix) {
+                         const int64_t* prefix) {
     if (b.param_lo == nullptr) return x;
     size_t vi = static_cast<size_t>(v);
     int32_t lo = b.param_lo[vi];
@@ -327,9 +327,46 @@ class RuleIndex {
   int64_t fo_total_ = 0;  // first-occurrence entries over all tables
 };
 
-// Shared boundary-resolution core of every root-to-position descent
-// (GrammarCursor::ResolveDown, SnapshotNav's walks, the query
-// engine's first-match descent). Advances (rule, node) — which may
+// Where position k (1-based, in preorder of the call's derived
+// subtree) lies under `call`, a call node of body t (paper §III-A):
+// scans the callee's segment sizes size(B, 0..rank) against the
+// arguments' derived sizes, arg_size(arg) in the caller's context.
+// Returns the argument node whose derived subtree holds the position,
+// with k rebased to it — the descent moves there and stays in the
+// caller's body — or kNilNode when the position lies in the callee's
+// own material, k unchanged: the callee's body root derives the same
+// subtree as the call, so the descent enters the callee exactly when
+// it must. Shared by SnapshotNav::LabelAt and BatchUpdater::Isolate
+// (which inlines the call instead of entering it).
+template <typename ArgSizeFn>
+inline NodeId LocateInCall(const RuleIndex& index, const Tree& t,
+                           NodeId call, int64_t& k, ArgSizeFn&& arg_size) {
+  LabelId callee = t.label(call);
+  int rank = index.Rank(callee);
+  int64_t rest = k;
+  NodeId arg = t.first_child(call);
+  for (int i = 0; i < rank && arg != kNilNode;
+       ++i, arg = t.next_sibling(arg)) {
+    int64_t seg = index.SegSize(callee, i);
+    if (rest <= seg) return kNilNode;
+    rest -= seg;
+    int64_t n = arg_size(arg);
+    if (rest <= n) {
+      k = rest;
+      return arg;
+    }
+    rest -= n;
+  }
+  return kNilNode;
+}
+
+// Shared boundary-resolution core of the descents that enter every
+// call on their path: GrammarCursor::ResolveDown, which walks the
+// derived tree's structure, and SnapshotNav::FindLabel and the query
+// engine's first-match descent, which steer by occurrence or match
+// counts (the index keeps no per-segment totals for those).
+// SnapshotNav::LabelAt steers by sizes and steps over arguments with
+// LocateInCall instead. Advances (rule, node) — which may
 // sit on a parameter or a call — across derivation boundaries until
 // node is a terminal of rule's body:
 //   * parameter y_j: pop() must remove the innermost frame and return

@@ -122,7 +122,7 @@ class Evaluator {
                  c = t.next_sibling(c)) {
               nf.size_prefix[j + 1] =
                   SizeSatAdd(nf.size_prefix[j],
-                             index_.DerivedIn(f.rule, c, f.size_prefix));
+                             index_.DerivedIn(f.rule, c, f.size_prefix.data()));
               nf.match_prefix[j + 1] =
                   SizeSatAdd(nf.match_prefix[j], MatchIn(f, c));
               ++j;
@@ -152,7 +152,8 @@ class Evaluator {
           break;
         }
         k -= mc;
-        pos = SizeSatAdd(pos, index_.DerivedIn(f.rule, c, f.size_prefix));
+        pos = SizeSatAdd(pos,
+                         index_.DerivedIn(f.rule, c, f.size_prefix.data()));
       }
       SLG_CHECK_MSG(next != kNilNode, "match counts inconsistent in descent");
       v = next;
@@ -204,7 +205,7 @@ class Evaluator {
     static const std::vector<int64_t> kNoMatches;
     const std::vector<int64_t>& m =
         f.entry != nullptr ? f.entry->matches : kNoMatches;
-    return index_.InContext(f.rule, c, m, f.match_prefix);
+    return index_.InContext(f.rule, c, m, f.match_prefix.data());
   }
 
   // Starts the evaluation of rule r under context q in frames_[slot],

@@ -99,27 +99,13 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
       v = c;
       continue;
     }
-    int rank = index_->Rank(l);
-    int64_t k2 = k;
-    NodeId arg = t.first_child(v);
-    NodeId descend = kNilNode;
-    for (int i = 0; i < rank && arg != kNilNode;
-         ++i, arg = t.next_sibling(arg)) {
-      int64_t body_seg = index_->SegSize(l, i);
-      if (k2 <= body_seg) break;  // inside the body: inline
-      k2 -= body_seg;
-      int64_t n = derived_of(arg);
-      if (k2 <= n) {
-        descend = arg;
-        break;
-      }
-      k2 -= n;
-    }
-    if (descend != kNilNode) {
+    NodeId arg = LocateInCall(*index_, t, v, k,
+                              [&](NodeId a) { return derived_of(a); });
+    if (arg != kNilNode) {
       v = arg;
-      k = k2;
       continue;
     }
+    // Inside the callee's own material: inline the call.
     std::vector<NodeId> new_calls;
     NodeId copy_root = InlineCall(*g_, &t, v, g_->rhs(l), &new_calls);
     --start_calls_[static_cast<size_t>(l)];

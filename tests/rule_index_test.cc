@@ -286,8 +286,8 @@ TEST(RuleIndexTest, ParameterIntervals) {
   // DerivedIn with explicit argument sizes: val(A(x,y)) has 3 material
   // nodes (g, h, c) plus the two argument sizes.
   std::vector<int64_t> prefix = {0, 5, 5 + 3};  // |arg1| = 5, |arg2| = 3
-  EXPECT_EQ(index.DerivedIn(a, root, prefix), 3 + 5 + 3);
-  EXPECT_EQ(index.DerivedIn(a, h, prefix), 2 + 3);
+  EXPECT_EQ(index.DerivedIn(a, root, prefix.data()), 3 + 5 + 3);
+  EXPECT_EQ(index.DerivedIn(a, h, prefix.data()), 2 + 3);
 }
 
 }  // namespace

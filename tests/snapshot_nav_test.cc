@@ -1,23 +1,30 @@
 // SnapshotNav: LabelAt / FindLabel on the grammar DAG (no
 // decompression, no isolation) must agree with the decompressed tree
 // on compressed grammars of every corpus shape — including grammars
-// whose rules take parameters.
+// whose rules take parameters, rules with empty parameter segments, and
+// served snapshots whose start rules were edited by write batches. At
+// every position LabelAt must step over the arguments that hold it
+// rather than enter the callee and come back out (no frame left).
 
 #include "src/core/snapshot_nav.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
-#include "tests/exponential_grammars.h"
 #include "src/grammar/rule_index.h"
 #include "src/grammar/text_format.h"
 #include "src/grammar/value.h"
+#include "src/service/document_service.h"
+#include "src/workload/update_workload.h"
 #include "src/xml/binary_encoding.h"
+#include "tests/exponential_grammars.h"
 
 namespace slg {
 namespace {
@@ -29,10 +36,11 @@ Grammar CompressedCorpus(Corpus c) {
   return GrammarRePair(Grammar::ForTree(std::move(bin), labels), {}).grammar;
 }
 
-// Checks every navigation query against the decompressed tree.
-void CrossCheck(const Grammar& g) {
-  RuleIndex index = RuleIndex::Build(g);
-  SnapshotNav nav(&g, &index);
+// Checks every navigation query against the decompressed tree, on
+// `index` (g's served index) or, when null, on a fresh Build of g.
+void CrossCheck(const Grammar& g, const RuleIndex* index = nullptr) {
+  RuleIndex built = RuleIndex::Build(g);
+  SnapshotNav nav(&g, index != nullptr ? index : &built);
 
   Tree full = Value(g).take();
   std::vector<LabelId> expect;
@@ -41,11 +49,16 @@ void CrossCheck(const Grammar& g) {
   const int64_t n = static_cast<int64_t>(expect.size());
   ASSERT_EQ(nav.DerivedSize(), n);
 
-  // LabelAt over every position, plus both out-of-range sides.
+  // LabelAt over every position, plus both out-of-range sides. No
+  // descent may enter a callee whose argument holds the position: it
+  // would meet the parameter and leave the frame again.
   for (int64_t i = 0; i < n; ++i) {
-    StatusOr<LabelId> l = nav.LabelAt(i + 1);
+    NavStats stats;
+    StatusOr<LabelId> l = nav.LabelAt(i + 1, &stats);
     ASSERT_TRUE(l.ok()) << "preorder " << (i + 1);
     ASSERT_EQ(l.value(), expect[i]) << "preorder " << (i + 1);
+    ASSERT_EQ(stats.frames_left, 0) << "preorder " << (i + 1);
+    ASSERT_GE(stats.steps, stats.frames_entered + 1) << "preorder " << (i + 1);
   }
   EXPECT_FALSE(nav.LabelAt(0).ok());
   EXPECT_FALSE(nav.LabelAt(n + 1).ok());
@@ -93,6 +106,95 @@ TEST(SnapshotNavTest, ParameterizedRules) {
   // sizes must flow through the actual-argument prefix sums.
   CrossCheck(ParameterizedSiblingGrammar());
 }
+
+TEST(SnapshotNavTest, EmptySegments) {
+  // Parameters next to each other and parameters as a body's last
+  // preorder node leave segments of size 0: a position right after an
+  // argument is then the start of the next argument, or lies past the
+  // call altogether, never in the callee's material. E passes its
+  // second parameter on into a call of B.
+  Grammar g = GrammarFromRules({
+                  "S -> r(B(C(a,b,D(c,e)),E(a,b)),C(e,B(a,a),D(E(b,c),a)))",
+                  "B -> f($1,$2)",
+                  "C -> g(h($1,$2),$3)",
+                  "D -> k($1,m(a,$2))",
+                  "E -> p($1,B($2,a))",
+              })
+                  .take();
+  RuleIndex index = RuleIndex::Build(g);
+  auto segs = [&](const char* name) {
+    LabelId r = g.labels().Find(name);
+    std::vector<int64_t> out;
+    for (int i = 0; i <= index.Rank(r); ++i) out.push_back(index.SegSize(r, i));
+    return out;
+  };
+  EXPECT_EQ(segs("B"), (std::vector<int64_t>{1, 0, 0}));
+  EXPECT_EQ(segs("C"), (std::vector<int64_t>{2, 0, 0, 0}));
+  EXPECT_EQ(segs("D"), (std::vector<int64_t>{1, 2, 0}));
+  EXPECT_EQ(segs("E"), (std::vector<int64_t>{1, 1, 1}));
+  // Every position, so every segment boundary of every call.
+  CrossCheck(g);
+}
+
+// A served document after seeded rename/insert/delete batches: the
+// start rule holds inlined rule bodies and inserted fragments, its
+// NodeIds out of preorder, and the index is derived from the parent
+// version's rather than built. Then the same after Flush (the
+// recompressed grammar and its fresh index).
+class ServedSnapshotNavTest : public ::testing::TestWithParam<Corpus> {};
+
+TEST_P(ServedSnapshotNavTest, AgreesWithDecompressedTreeBeforeAndAfterFlush) {
+  XmlTree xml = GenerateCorpus(GetParam(), 0.01);
+  LabelTable labels;
+  Tree bin = EncodeBinary(xml, &labels);
+  WorkloadOptions wopts;
+  wopts.num_ops = 30;
+  wopts.seed = 19;
+  wopts.rename_fraction = 0.2;
+  UpdateWorkload w = MakeUpdateWorkload(bin, labels, wopts);
+  Grammar seed =
+      GrammarRePair(Grammar::ForTree(std::move(w.seed), labels), {}).grammar;
+  ServiceOptions opts;
+  opts.update.growth_trigger = 0;  // merge only on Flush()
+  auto svc = DocumentService::FromGrammar(std::move(seed), opts).take();
+  DocumentService::Writer writer = svc->OpenWriter();
+  for (size_t at = 0; at < w.ops.size(); at += 5) {
+    size_t end = std::min(w.ops.size(), at + 5);
+    ASSERT_TRUE(writer.Apply({w.ops.begin() + at, w.ops.begin() + end}).ok());
+  }
+  {
+    SCOPED_TRACE("after write batches");
+    DocumentService::Reader r = svc->OpenReader();
+    const Grammar& g = r.snapshot().grammar();
+    const Tree& start = g.rhs(g.start());
+    NodeId expect = 0;
+    bool in_order = true;
+    start.VisitPreorder(start.root(),
+                        [&](NodeId v) { in_order &= v == expect++; });
+    ASSERT_FALSE(in_order)
+        << "the batches should leave the start rule out of preorder";
+    CrossCheck(g, r.snapshot().index().get());
+  }
+  ASSERT_TRUE(svc->Flush().ok());
+  {
+    SCOPED_TRACE("after Flush");
+    DocumentService::Reader r = svc->OpenReader();
+    CrossCheck(r.snapshot().grammar(), r.snapshot().index().get());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    All, ServedSnapshotNavTest,
+    ::testing::Values(Corpus::kExiWeblog, Corpus::kXMark,
+                      Corpus::kExiTelecomp, Corpus::kTreebank,
+                      Corpus::kMedline, Corpus::kNcbi),
+    [](const ::testing::TestParamInfo<Corpus>& info) {
+      std::string n = InfoFor(info.param).name;
+      for (char& c : n) {
+        if (c == '-') c = '_';
+      }
+      return n;
+    });
 
 TEST(SnapshotNavTest, DeepSharedChain) {
   // Exponential derived size from a logarithmic grammar: navigation
