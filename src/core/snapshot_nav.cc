@@ -30,29 +30,22 @@ StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder,
   // k counts positions remaining within the derived subtree of the
   // current node; k == 1 at a terminal means "this is the node".
   int64_t k = preorder;
-  Frames fs(g_->start());
   LabelId rule = g_->start();
   NodeId v = index_->RhsRoot(rule);
+  // The descent never leaves a rule it entered, so it keeps only the
+  // current rule's argument-size prefix sums (the start rule has no
+  // arguments) and builds a callee's from them on entry.
+  std::vector<int64_t> prefix = {0};
+  std::vector<int64_t> callee_prefix;
   for (;;) {
     ++work.steps;
     const Tree& t = index_->Rhs(rule);
     LabelId l = t.label(v);
-    if (int pj = index_->ParamIndex(l); pj > 0) {
-      // The position lies in the argument of the call that entered this
-      // rule: resume there, in the caller's context, k unchanged. Only
-      // reachable if a callee was entered for a position outside its
-      // material, which LocateInCall rules out (frames_left pins it).
-      NodeId call = fs.top().call;
-      fs.Pop();
-      ++work.frames_left;
-      rule = fs.top().rule;
-      v = index_->Rhs(rule).Child(call, pj);
-      continue;
-    }
-    const Frame& f = fs.top();
+    SLG_CHECK_MSG(index_->ParamIndex(l) == 0,
+                  "descent entered a callee outside its material");
     if (index_->IsNonterminal(l)) {
       NodeId arg = LocateInCall(*index_, t, v, k, [&](NodeId a) {
-        return DerivedIn(fs, f, a);
+        return index_->DerivedIn(rule, a, prefix.data());
       });
       if (arg != kNilNode) {
         v = arg;
@@ -60,13 +53,12 @@ StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder,
       }
       // The position lies in the callee's material: enter its body with
       // the prefix sums its parameter ranges need.
-      size_t base = fs.sizes.size();
-      fs.sizes.push_back(0);
+      callee_prefix.assign(1, 0);
       for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-        int64_t d = DerivedIn(fs, f, c);
-        fs.sizes.push_back(SizeSatAdd(fs.sizes.back(), d));
+        int64_t d = index_->DerivedIn(rule, c, prefix.data());
+        callee_prefix.push_back(SizeSatAdd(callee_prefix.back(), d));
       }
-      fs.stack.push_back(Frame{l, v, base});
+      prefix.swap(callee_prefix);
       ++work.frames_entered;
       rule = l;
       v = index_->RhsRoot(l);
@@ -80,7 +72,7 @@ StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder,
     --k;
     NodeId next = kNilNode;
     for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-      int64_t d = DerivedIn(fs, f, c);
+      int64_t d = index_->DerivedIn(rule, c, prefix.data());
       if (k <= d) {
         next = c;
         break;

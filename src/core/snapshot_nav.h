@@ -7,8 +7,9 @@
 // write path (the damage feeds the next recompression) but unusable
 // for serving reads from a shared immutable snapshot. SnapshotNav is
 // the read-only counterpart: instead of inlining calls it descends
-// *into* rule bodies, carrying a stack of call frames whose argument
-// sizes tell it which child subtree covers the requested position.
+// *into* rule bodies, carrying the argument sizes of the calls it
+// entered, which tell it which child subtree covers the requested
+// position.
 //
 // The per-rule facts the descent needs — static sizes, parameter
 // intervals, segment sizes, first-occurrence offsets — come from the
@@ -24,13 +25,15 @@
 // argument that holds the position, staying in the current rule; it
 // enters the callee only when the position lies in the callee's own
 // material. Each rule entered is entered for good — the descent never
-// meets a parameter — so a call costs O(rank) and the whole descent
-// O(body nodes on the root-to-target path + rank per call on it),
-// with no frame ever popped. FindLabel first computes per-rule
+// meets a parameter (it checks that) — so it keeps no frame stack,
+// only the current rule's argument-size prefix sums; a call costs
+// O(rank) and the whole descent O(body nodes on the root-to-target
+// path + rank per call on it). FindLabel first computes per-rule
 // occurrence counts of the wanted label (one pass over the rules
 // whose filter admits it, per query) and then descends steering by
-// counts, entering every call on its path; both are sub-linear in the
-// document and neither touches the grammar. When the remaining target
+// counts, entering every call on its path and popping back to the
+// caller at a parameter (a stack of call frames); both are sub-linear
+// in the document and neither touches the grammar. When the remaining target
 // is the first occurrence inside a call whose arguments carry none,
 // the index's first-occurrence offset finishes FindLabel's descent in
 // O(1) instead of walking the rest of the spine.
@@ -57,13 +60,11 @@
 
 namespace slg {
 
-// Work of one LabelAt descent: body nodes it stood on, rules it
-// entered at a call and frames it popped at a parameter (none: the
-// descent enters a rule only where the position lies in its material).
+// Work of one LabelAt descent: body nodes it stood on and rules it
+// entered at a call.
 struct NavStats {
   int64_t steps = 0;
   int64_t frames_entered = 0;
-  int64_t frames_left = 0;
 };
 
 class SnapshotNav {
@@ -90,9 +91,9 @@ class SnapshotNav {
   StatusOr<int64_t> FindLabel(LabelId want, int64_t k) const;
 
  private:
-  // The call frames of a descent, innermost last: the rule we are
-  // inside and the call node in the *enclosing* rule's body that got us
-  // there. Prefix sums over a frame's argument sizes sit in one flat
+  // The call frames of FindLabel's descent, innermost last: the rule
+  // we are inside and the call node in the *enclosing* rule's body that
+  // got us there. Prefix sums over a frame's argument sizes sit in one flat
   // buffer at sizes[base .. base + rank] (sizes[base + j] = derived
   // sizes of arguments 1..j summed, sizes[base] = 0); FindLabel keeps
   // the same sums over argument occurrence counts at the same offsets
