@@ -32,7 +32,6 @@ void GrammarCursor::ResolveDown() {
       },
       [&](LabelId) {
         stack_.push_back(Frame{cur_rule_, cur_});
-        return true;
       });
 }
 

@@ -175,7 +175,6 @@ StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
   LabelId rule = g_->start();
   NodeId v = index_->RhsRoot(rule);
   for (;;) {
-    int64_t shortcut = -1;
     ResolveToTerminal(
         *index_, rule, v,
         [&]() -> std::pair<LabelId, NodeId> {
@@ -197,32 +196,13 @@ StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
             fs.sizes.push_back(SizeSatAdd(fs.sizes.back(), d));
             occ_prefix.push_back(SizeSatAdd(occ_prefix.back(), o));
           }
-          // O(1) finish: the target is the first occurrence inside
-          // this call and the arguments carry none, so it is the
-          // callee's first material occurrence — whose derived offset
-          // is its static offset plus the sizes of the arguments
-          // preceding it (the index's first-occurrence table).
-          if (k == 1 && occ_prefix.back() == 0) {
-            if (std::optional<RuleIndex::FirstOcc> fo =
-                    index_->FirstOccurrence(callee, want)) {
-              shortcut = SizeSatAdd(
-                  pos, SizeSatAdd(
-                           SizeSatAdd(fo->offset,
-                                      fs.sizes[base + static_cast<size_t>(
-                                                          fo->params_before)]),
-                           1));
-              return false;
-            }
-          }
           fs.stack.push_back(Frame{callee, v, base});
-          return true;
         });
-    if (shortcut >= 0) return shortcut;
     const Frame& f = fs.top();
     const Tree& t = index_->Rhs(rule);
     LabelId l = t.label(v);
     if (l == want) {
-      if (k == 1) return pos + 1;
+      if (k == 1) return SizeSatAdd(pos, 1);
       --k;
     }
     pos = SizeSatAdd(pos, 1);

@@ -12,9 +12,9 @@
 // position.
 //
 // The per-rule facts the descent needs — static sizes, parameter
-// intervals, segment sizes, first-occurrence offsets — come from the
-// version's RuleIndex (grammar/rule_index.h), built once per snapshot
-// and shared with the cursor and the query engine; with per-call
+// intervals, segment sizes, label filters — come from the version's
+// RuleIndex (grammar/rule_index.h), built once per snapshot and
+// shared with the cursor and the query engine; with per-call
 // prefix sums over the actual argument sizes, the derived size of any
 // body node in context is O(1):
 //   derived(v | args) = static_size[v] + sum(args[lo..hi]).
@@ -33,14 +33,11 @@
 // whose filter admits it, per query) and then descends steering by
 // counts, entering every call on its path and popping back to the
 // caller at a parameter (a stack of call frames); both are sub-linear
-// in the document and neither touches the grammar. When the remaining target
-// is the first occurrence inside a call whose arguments carry none,
-// the index's first-occurrence offset finishes FindLabel's descent in
-// O(1) instead of walking the rest of the spine.
+// in the document and neither touches the grammar.
 //
 // All sizes saturate at kSizeCap (value.h); positions beyond the cap
-// are not addressable, matching every other size computation in the
-// library.
+// are not addressable (FindLabel reports any of them as kSizeCap),
+// matching every other size computation in the library.
 //
 // A SnapshotNav borrows the grammar and its RuleIndex, and must be
 // discarded after any mutation — GrammarSnapshot (service/) bundles

@@ -1,25 +1,10 @@
 #include "src/grammar/rule_index.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "src/grammar/orders.h"
 
 namespace slg {
-
-namespace {
-
-// First-occurrence tables are only built for rules whose bodies stay
-// below this node count — every digram-sized rule TreeRePair mints
-// qualifies, while adversarial hand-written bodies fall back to the
-// plain descent. Bounds both the build recursion depth and the walk
-// cost. (The start rule never gets one; see BuildRule.)
-constexpr int64_t kFirstOccBodyCap = 4096;
-// Total first-occurrence entries across all rules; beyond this the
-// remaining rules simply go without tables.
-constexpr int64_t kFirstOccTotalCap = int64_t{1} << 21;
-
-}  // namespace
 
 struct RuleIndex::Scratch {
   std::vector<NodeId> order;  // the body being built, in preorder
@@ -32,17 +17,6 @@ struct RuleIndex::Scratch {
   };
   std::vector<SegFrame> stack;
   std::vector<NodeId> kids;
-  // First-occurrence walk: records in derived order, and per label the
-  // stamp of the last table that recorded it.
-  struct Rec {
-    LabelId label;
-    int64_t offset;
-    int32_t params_before;
-  };
-  std::vector<Rec> recs;
-  std::vector<int32_t> perm;
-  std::vector<uint32_t> seen;
-  uint32_t stamp = 0;
 };
 
 void RuleIndex::AppendLabels(const LabelTable& labels) {
@@ -129,7 +103,6 @@ void RuleIndex::ReleaseEntry(LabelId r) {
   std::shared_ptr<const Entry>& e = entries_[static_cast<size_t>(r)];
   if (e == nullptr) return;
   edges_ -= e->nodes - 1;
-  if (e->fo_exact) fo_total_ -= static_cast<int64_t>(e->fo_labels.size());
   e.reset();
   views_[static_cast<size_t>(r)] = View();
 }
@@ -194,7 +167,6 @@ void RuleIndex::BuildRule(LabelId r, const Tree& t,
   e->param_nodes.assign(static_cast<size_t>(rank), kNilNode);
   if (is_start) e->calls.assign(static_cast<size_t>(num_labels()), 0);
   int64_t elems = 0;
-  bool callees_exact = true;
   for (NodeId v : s.order) {
     const LabelId l = t.label(v);
     const size_t li = static_cast<size_t>(l);
@@ -207,7 +179,6 @@ void RuleIndex::BuildRule(LabelId r, const Tree& t,
       const View& cv = views_[li];
       for (size_t i = 0; i < 4; ++i) e->filter[i] |= cv.filter[i];
       elems = SizeSatAdd(elems, cv.material_elements);
-      if (!is_start) callees_exact = callees_exact && entries_[li]->fo_exact;
     } else if (int pj = param_index_[li]; pj > 0) {
       e->param_nodes[static_cast<size_t>(pj - 1)] = v;
     } else {
@@ -229,13 +200,7 @@ void RuleIndex::BuildRule(LabelId r, const Tree& t,
   for (int64_t k : e->seg_sizes) total = SizeSatAdd(total, k);
   seg_total_[lr] = total;
 
-  // Merging a callee's table requires it to be exact — a missing
-  // callee table could hide an earlier occurrence. No descent consults
-  // the start rule's table: descents begin there.
-  if (!is_start && callees_exact) BuildFirstOcc(r, t, *e, s);
-
   edges_ += e->nodes - 1;
-  if (e->fo_exact) fo_total_ += static_cast<int64_t>(e->fo_labels.size());
   View v;
   v.static_size = e->static_size.data();
   v.param_lo = e->param_lo.empty() ? nullptr : e->param_lo.data();
@@ -244,12 +209,6 @@ void RuleIndex::BuildRule(LabelId r, const Tree& t,
   v.seg_sizes = e->seg_sizes.data();
   v.filter = e->filter;
   v.material_elements = e->material_elements;
-  if (e->fo_exact) {
-    v.fo_labels = e->fo_labels.data();
-    v.fo_offsets = e->fo_offsets.data();
-    v.fo_params = e->fo_params.data();
-    v.fo_count = e->fo_labels.size();
-  }
   views_[lr] = v;
   entries_[lr] = std::move(e);
 }
@@ -310,143 +269,9 @@ void RuleIndex::BuildSegments(LabelId r, const Tree& t, Entry& e,
   SLG_CHECK_MSG(cur == rank, "rule does not use all its parameters");
 }
 
-void RuleIndex::BuildFirstOcc(LabelId r, const Tree& t, Entry& b,
-                              Scratch& s) const {
-  if (b.nodes > kFirstOccBodyCap) return;
-  if (fo_total_ >= kFirstOccTotalCap) return;
-  if (s.seen.size() < static_cast<size_t>(num_labels())) {
-    s.seen.resize(static_cast<size_t>(num_labels()), 0);
-  }
-  if (++s.stamp == 0) {
-    std::fill(s.seen.begin(), s.seen.end(), 0);
-    s.stamp = 1;
-  }
-  s.recs.clear();
-
-  // Walk the body in *derived* order, tracking for every node its
-  // static offset (material nodes before it, arguments of nested calls
-  // included — they are this rule's material — but this rule's own
-  // parameter substitutions excluded) and the count of this rule's
-  // parameters already passed. First record per label wins, which is
-  // exactly the first derived occurrence because the walk order is the
-  // derived order.
-  struct Walk {
-    const RuleIndex& x;
-    const Tree& t;
-    const Entry& b;
-    Scratch& s;
-    int32_t params_passed = 0;
-    bool overflow = false;
-
-    void Record(LabelId l, int64_t off) {
-      if (off >= kSizeCap) {
-        overflow = true;
-        return;
-      }
-      uint32_t& seen = s.seen[static_cast<size_t>(l)];
-      if (seen == s.stamp) return;
-      seen = s.stamp;
-      s.recs.push_back(Scratch::Rec{l, off, params_passed});
-    }
-
-    // Recursion depth is bounded by the body node count (≤ cap above).
-    void Visit(NodeId v, int64_t base) {
-      if (base >= kSizeCap) {
-        overflow = true;
-        return;
-      }
-      LabelId l = t.label(v);
-      if (x.ParamIndex(l) > 0) {
-        ++params_passed;
-        return;
-      }
-      if (x.IsNonterminal(l)) {
-        // The callee's material and this call's argument subtrees
-        // interleave in derived order: segment h of the callee (its
-        // entries with params_before == h), then argument h+1, and so
-        // on. A callee entry at static offset d with p of the callee's
-        // parameters before it sits at base + d + (sizes of the first
-        // p arguments); argument h+1 starts after the callee's first
-        // h+1 segments and the first h arguments.
-        const Entry& cb = *x.entries_[static_cast<size_t>(l)];
-        const int m = x.Rank(l);
-        size_t oi = 0;
-        int64_t seg = 0;
-        int64_t args_before = 0;  // sizes of arguments 1..h
-        NodeId arg = t.first_child(v);
-        for (int h = 0; h <= m; ++h) {
-          while (oi < cb.fo_order.size() &&
-                 cb.fo_params[static_cast<size_t>(cb.fo_order[oi])] == h) {
-            size_t e = static_cast<size_t>(cb.fo_order[oi++]);
-            Record(cb.fo_labels[e],
-                   SizeSatAdd(base, SizeSatAdd(cb.fo_offsets[e], args_before)));
-          }
-          if (h < m) {
-            seg = SizeSatAdd(seg, x.SegSize(l, h));
-            Visit(arg, SizeSatAdd(base, SizeSatAdd(seg, args_before)));
-            args_before = SizeSatAdd(
-                args_before, b.static_size[static_cast<size_t>(arg)]);
-            arg = t.next_sibling(arg);
-          }
-        }
-        return;
-      }
-      // Terminal: itself, then its children in order.
-      Record(l, base);
-      int64_t off = SizeSatAdd(base, 1);
-      for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-        Visit(c, off);
-        off = SizeSatAdd(off, b.static_size[static_cast<size_t>(c)]);
-      }
-    }
-  };
-  Walk walk{*this, t, b, s};
-  walk.Visit(RhsRoot(r), 0);
-  if (walk.overflow) return;
-
-  // Store sorted by label (lookup is a binary search); fo_order keeps
-  // the derived order — (params_before, offset) ascending, which the
-  // walk produced directly — as indices into the sorted table.
-  const std::vector<Scratch::Rec>& recs = s.recs;
-  const size_t n = recs.size();
-  std::vector<int32_t>& perm = s.perm;
-  perm.resize(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  std::sort(perm.begin(), perm.end(), [&](int32_t a, int32_t c) {
-    return recs[static_cast<size_t>(a)].label <
-           recs[static_cast<size_t>(c)].label;
-  });
-  b.fo_labels.resize(n);
-  b.fo_offsets.resize(n);
-  b.fo_params.resize(n);
-  b.fo_order.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Scratch::Rec& rec = recs[static_cast<size_t>(perm[i])];
-    b.fo_labels[i] = rec.label;
-    b.fo_offsets[i] = rec.offset;
-    b.fo_params[i] = rec.params_before;
-    b.fo_order[static_cast<size_t>(perm[i])] = static_cast<int32_t>(i);
-  }
-  b.fo_exact = true;
-}
-
 void RuleIndex::Finish() {
   derived_size_ = StaticSize(start_, RhsRoot(start_));
   derived_elements_ = MaterialElements(start_);
-}
-
-std::optional<RuleIndex::FirstOcc> RuleIndex::FirstOccurrence(
-    LabelId rule, LabelId label) const {
-  if (rule < 0 || static_cast<size_t>(rule) >= views_.size()) {
-    return std::nullopt;
-  }
-  const View& b = views_[static_cast<size_t>(rule)];
-  if (b.fo_labels == nullptr) return std::nullopt;
-  const LabelId* end = b.fo_labels + b.fo_count;
-  const LabelId* it = std::lower_bound(b.fo_labels, end, label);
-  if (it == end || *it != label) return std::nullopt;
-  size_t i = static_cast<size_t>(it - b.fo_labels);
-  return FirstOcc{b.fo_offsets[i], b.fo_params[i]};
 }
 
 }  // namespace slg

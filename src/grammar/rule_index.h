@@ -5,11 +5,10 @@
 // parameter-segment sizes (paper §III-A); GrammarCursor, SnapshotNav
 // and the query engine descend through call and parameter boundaries
 // and answer positions from per-node static sizes, parameter
-// intervals, label filters and first-occurrence tables. The Grammar
-// answers the structural questions through hash lookups and tree
-// searches; a RuleIndex is all of those answers computed once, in one
-// bottom-up pass over the rule DAG, and shared by every reader of the
-// version.
+// intervals and label filters. The Grammar answers the structural
+// questions through hash lookups and tree searches; a RuleIndex is all
+// of those answers computed once, in one bottom-up pass over the rule
+// DAG, and shared by every reader of the version.
 //
 // Layout follows the access pattern:
 //   * the label facts every descent step reads — parameter index, body
@@ -32,20 +31,14 @@
 //         prefix sums over actual argument sizes, any additive
 //         per-node measure in context is O(1) (DerivedIn / InContext);
 //       - a 256-bit hashed filter over the labels of the rule's
-//         material (false positives possible, false negatives never),
-//         the element (non-⊥) count of the material, and an exact
-//         first-occurrence table: for each label in the material, the
-//         material nodes before its first derived occurrence and the
-//         rule's parameters before it (built only for small bodies,
-//         never for the start rule, where no descent consults it;
-//         consumers fall back to the plain descent when absent);
+//         material (false positives possible, false negatives never)
+//         and the element (non-⊥) count of the material;
 //       - for the start rule only, the call sites of each rule in its
 //         body (the garbage-collection counts a batch starts from).
 //     A rule's material size is SegTotal (the dense array), stored
 //     once.
 //
-// All sizes saturate at kSizeCap (value.h); a first-occurrence table
-// that would saturate is dropped rather than stored approximately.
+// All sizes saturate at kSizeCap (value.h).
 //
 // A RuleIndex borrows the grammar's rule bodies: it is only valid for
 // the grammar it was built from and must be discarded after a change
@@ -61,7 +54,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -77,16 +69,6 @@ class RuleIndex {
   // index compares smaller.
   static constexpr int32_t kNoParamBelow = std::numeric_limits<int32_t>::max();
 
-  // First occurrence of a label in a rule's material: `offset`
-  // material nodes precede it in derived order, `params_before` of the
-  // rule's parameters precede it. Its absolute offset inside any
-  // instantiation is offset + sum of the first params_before argument
-  // sizes.
-  struct FirstOcc {
-    int64_t offset = 0;
-    int32_t params_before = 0;
-  };
-
   // One bottom-up pass over the rule DAG (callees first).
   static RuleIndex Build(const Grammar& g);
 
@@ -96,10 +78,7 @@ class RuleIndex {
   // must still hold the very body parent indexes, over callees whose
   // entries are unchanged. `start_sizes`, when non-empty, are the
   // static sizes of g's start rule by NodeId (the table BatchUpdater
-  // maintains), taken instead of a recount. Equals Build(g) as long as
-  // the first-occurrence entry total stays under its cap; past it,
-  // which rules keep a table may differ (never an answer: a missing
-  // table is a fallback).
+  // maintains), taken instead of a recount. Equals Build(g).
   static RuleIndex Derive(const RuleIndex& parent, const Grammar& g,
                           const std::vector<LabelId>& rebuilt,
                           const std::vector<LabelId>& removed,
@@ -185,13 +164,9 @@ class RuleIndex {
     return (b.filter[h >> 6] >> (h & 63)) & 1;
   }
 
-  // First occurrence of `label` in the material of val(rule), or
-  // nullopt when the rule's first-occurrence table was not built (big
-  // body, saturated sizes, capped) — never a wrong answer.
-  std::optional<FirstOcc> FirstOccurrence(LabelId rule, LabelId label) const;
-
-  // Parameter interval under a body node (lo > hi means none below) —
-  // exposed for consumers that roll their own prefix combination.
+  // Parameter interval under a body node (lo > hi means none below):
+  // what DerivedIn and InContext combine with the caller's prefix
+  // sums. Only tests read it directly.
   int32_t ParamLo(LabelId rule, NodeId v) const {
     const View& b = views_[static_cast<size_t>(rule)];
     return b.param_lo == nullptr ? kNoParamBelow
@@ -239,15 +214,6 @@ class RuleIndex {
     int64_t material_elements = 0;
     int64_t nodes = 0;           // body nodes, for EdgeCount()
     std::vector<int32_t> calls;  // start rule only: StartCalls()
-    // First-occurrence table, parallel vectors sorted by label;
-    // fo_exact marks it as built (absent tables are a fallback, not an
-    // error). fo_order holds the table indices in derived order, which
-    // callers' table builds consume.
-    bool fo_exact = false;
-    std::vector<LabelId> fo_labels;
-    std::vector<int64_t> fo_offsets;
-    std::vector<int32_t> fo_params;
-    std::vector<int32_t> fo_order;
   };
 
   // A version's plain view of one rule's entry: the per-label array
@@ -260,10 +226,6 @@ class RuleIndex {
     const int64_t* seg_sizes = nullptr;
     std::array<uint64_t, 4> filter = {0, 0, 0, 0};
     int64_t material_elements = 0;
-    const LabelId* fo_labels = nullptr;  // null: no table
-    const int64_t* fo_offsets = nullptr;
-    const int32_t* fo_params = nullptr;
-    size_t fo_count = 0;
   };
 
   // Scratch buffers one Build or Derive reuses across rules.
@@ -303,9 +265,6 @@ class RuleIndex {
   // Rule r's segment sizes into e from its static sizes and parameter
   // intervals.
   void BuildSegments(LabelId r, const Tree& t, Entry& e, Scratch& s) const;
-  // Rule r's first-occurrence table into e (respecting the body-size
-  // and total-entry caps).
-  void BuildFirstOcc(LabelId r, const Tree& t, Entry& e, Scratch& s) const;
   // Releases rule r's entry (if any) and its share of the totals.
   void ReleaseEntry(LabelId r);
   // Document totals, once every entry is final.
@@ -324,7 +283,6 @@ class RuleIndex {
   int64_t derived_size_ = 0;
   int64_t derived_elements_ = 0;
   int64_t edges_ = 0;
-  int64_t fo_total_ = 0;  // first-occurrence entries over all tables
 };
 
 // Where position k (1-based, in preorder of the call's derived
@@ -374,10 +332,9 @@ inline NodeId LocateInCall(const RuleIndex& index, const Tree& t,
 //     call's j-th argument, in the caller's context;
 //   * call to B: push(B) is invoked with (rule, node) still at the
 //     call so the caller can capture its frame (argument prefix sums,
-//     context); returning true enters B's body root — the body root
+//     context); the descent then enters B's body root — the body root
 //     derives the same subtree as the call, so any position/count
-//     bookkeeping is unchanged — while false stops the resolution at
-//     the call node (e.g. a shortcut answered the query).
+//     bookkeeping is unchanged.
 template <typename PopFn, typename PushFn>
 inline void ResolveToTerminal(const RuleIndex& index, LabelId& rule,
                               NodeId& node, PopFn&& pop, PushFn&& push) {
@@ -391,7 +348,7 @@ inline void ResolveToTerminal(const RuleIndex& index, LabelId& rule,
       continue;
     }
     if (index.IsNonterminal(l)) {
-      if (!push(l)) return;
+      push(l);
       rule = l;
       node = index.RhsRoot(l);
       continue;

@@ -25,6 +25,12 @@ Status Validate(const Grammar& g) {
   g.ForEachRule([&](LabelId lhs, const Tree& rhs) {
     if (!status.ok()) return;
     const std::string rule_name = labels.Name(lhs);
+    if (labels.IsParam(lhs)) {
+      // Every reader takes a parameter for a parameter, never a call.
+      status = Status::FailedPrecondition("parameter " + rule_name +
+                                          " has a rule");
+      return;
+    }
     if (rhs.empty()) {
       status = Status::FailedPrecondition("rule " + rule_name + " is empty");
       return;

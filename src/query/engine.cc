@@ -83,7 +83,7 @@ class Evaluator {
   int64_t Descend(uint64_t q0, int64_t k) {
     std::vector<DFrame> frames;
     frames.push_back(DFrame{g_.start(), kNilNode, Lookup(g_.start(), q0),
-                            {}, {}});
+                            q0, {}, {}});
     LabelId rule = g_.start();
     NodeId v = index_.RhsRoot(rule);
     uint64_t cs = q0;  // context flowing at (rule, v)
@@ -92,10 +92,14 @@ class Evaluator {
       ResolveToTerminal(
           index_, rule, v,
           [&]() -> std::pair<LabelId, NodeId> {
-            // Parameter: resume at the call's argument. cs already
-            // equals the argument's flow context — the context at the
-            // parameter's position inside the callee is, by
-            // construction of the exits, the argument's context.
+            // Parameter: resume at the call's argument, in the context
+            // Forward gave it. For a memoized callee cs already equals
+            // it — the context at the parameter's position inside the
+            // callee is, by construction of the exits, the argument's
+            // context. A pruned or empty call handed every argument its
+            // own context, which the walk through the callee need not
+            // reproduce (a terminal's third child gets none).
+            if (frames.back().entry == nullptr) cs = frames.back().flow;
             NodeId call = frames.back().call;
             frames.pop_back();
             return {frames.back().rule, call};
@@ -107,6 +111,7 @@ class Evaluator {
             nf.rule = callee;
             nf.call = v;
             nf.entry = nullptr;
+            nf.flow = cs;
             if (cs != 0 && !CanPrune(callee, cs)) {
               nf.entry = Lookup(callee, cs);
               SLG_CHECK_MSG(nf.entry != nullptr,
@@ -128,14 +133,13 @@ class Evaluator {
               ++j;
             }
             frames.push_back(std::move(nf));
-            return true;
           });
       const DFrame& f = frames.back();
       const Tree& t = index_.Rhs(rule);
       LabelId l = t.label(v);
       uint64_t own = plan_.Own(cs, l, bound_);
       if ((own & plan_.AcceptBit()) != 0) {
-        if (k == 1) return pos + 1;
+        if (k == 1) return SizeSatAdd(pos, 1);
         --k;
       }
       pos = SizeSatAdd(pos, 1);
@@ -182,12 +186,13 @@ class Evaluator {
   // A descent frame: the rule we are inside, the call node in the
   // enclosing body, this rule's memo entry under the flow context
   // (null for pruned or empty contexts — their material match counts
-  // are zero), and prefix sums over argument sizes / argument match
-  // counts.
+  // are zero), the flow context at the call, and prefix sums over
+  // argument sizes / argument match counts.
   struct DFrame {
     LabelId rule;
     NodeId call;
     const MemoEntry* entry;
+    uint64_t flow;
     std::vector<int64_t> size_prefix;
     std::vector<int64_t> match_prefix;
   };

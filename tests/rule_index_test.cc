@@ -1,9 +1,8 @@
-// RuleIndex: the per-rule index must report exact static sizes,
-// parameter-segment sizes and first-occurrence offsets (checked against
-// an oracle that expands the grammar by the recursive definition of
-// val, without the index's code), exact element counts, parameter
-// intervals matching the rule bodies, and a label filter with no false
-// negatives.
+// RuleIndex: the per-rule index must report exact static sizes and
+// parameter-segment sizes (checked against an oracle that expands the
+// grammar by the recursive definition of val, without the index's
+// code), exact element counts, parameter intervals matching the rule
+// bodies, and a label filter with no false negatives.
 
 #include "src/grammar/rule_index.h"
 
@@ -11,7 +10,6 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -75,28 +73,19 @@ class SizeOracle {
                     static_cast<size_t>(g_.labels().Rank(rule)), 0));
   }
 
-  // What val(rule) holds in derived order, parameters left open.
-  struct Expansion {
-    std::vector<int64_t> segments;  // size(rule, 0..rank)
-    // Per label: material nodes and parameters before its first
-    // occurrence.
-    std::map<LabelId, RuleIndex::FirstOcc> first;
-  };
-
-  // Walks val(rule) in derived order, every call expanded.
-  Expansion Expand(LabelId rule) {
+  // Segment sizes size(rule, 0..rank): walks val(rule) in derived
+  // order, every call expanded, parameters left open.
+  std::vector<int64_t> Segments(LabelId rule) {
     const int rank = g_.labels().Rank(rule);
     std::vector<Arg> env;
     for (int j = 1; j <= rank; ++j) {
       env.push_back(Arg{kNoLabel, kNilNode, nullptr, j});
     }
-    Expansion x;
-    x.segments.assign(static_cast<size_t>(rank) + 1, 0);
+    std::vector<int64_t> segments(static_cast<size_t>(rank) + 1, 0);
     int cur = 0;
-    int64_t nodes = 0;
-    Walk(rule, g_.rhs(rule).root(), env, &x, &cur, &nodes);
+    Walk(rule, g_.rhs(rule).root(), env, &segments, &cur);
     EXPECT_EQ(cur, rank);
-    return x;
+    return segments;
   }
 
  private:
@@ -110,7 +99,7 @@ class SizeOracle {
   };
 
   void Walk(LabelId rule, NodeId v, const std::vector<Arg>& env,
-            Expansion* x, int* cur, int64_t* nodes) {
+            std::vector<int64_t>* segments, int* cur) {
     const Tree& t = g_.rhs(rule);
     LabelId l = t.label(v);
     if (int pj = g_.labels().ParamIndex(l); pj > 0) {
@@ -118,7 +107,7 @@ class SizeOracle {
       if (a.top > 0) {
         *cur = a.top;
       } else {
-        Walk(a.rule, a.node, *a.env, x, cur, nodes);
+        Walk(a.rule, a.node, *a.env, segments, cur);
       }
       return;
     }
@@ -127,14 +116,12 @@ class SizeOracle {
       for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
         args.push_back(Arg{rule, c, &env, 0});
       }
-      Walk(l, g_.rhs(l).root(), args, x, cur, nodes);
+      Walk(l, g_.rhs(l).root(), args, segments, cur);
       return;
     }
-    x->first.emplace(l, RuleIndex::FirstOcc{*nodes, *cur});
-    ++x->segments[static_cast<size_t>(*cur)];
-    ++*nodes;
+    ++(*segments)[static_cast<size_t>(*cur)];
     for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
-      Walk(rule, c, env, x, cur, nodes);
+      Walk(rule, c, env, segments, cur);
     }
   }
 
@@ -177,10 +164,8 @@ void CheckIndex(const Grammar& g) {
   EXPECT_EQ(index.SegTotal(g.start()), ValueNodeCount(g));
   EXPECT_EQ(index.MaterialElements(g.start()), ValueElementCount(g));
 
-  // Per-node static sizes, every segment size and every
-  // first-occurrence table against the oracle.
+  // Per-node static sizes and every segment size against the oracle.
   SizeOracle oracle(g);
-  int tables = 0;
   g.ForEachRule([&](LabelId lhs, const Tree& t) {
     const std::string& name = g.labels().Name(lhs);
     std::vector<NodeId> order = t.Preorder();
@@ -189,36 +174,16 @@ void CheckIndex(const Grammar& g) {
       EXPECT_EQ(index.StaticSize(lhs, *it), oracle.StaticSize(lhs, *it))
           << name << "/" << *it;
     }
-    SizeOracle::Expansion want = oracle.Expand(lhs);
+    std::vector<int64_t> segments = oracle.Segments(lhs);
     const int rank = g.labels().Rank(lhs);
     int64_t total = 0;
     for (int i = 0; i <= rank; ++i) {
-      EXPECT_EQ(index.SegSize(lhs, i), want.segments[static_cast<size_t>(i)])
+      EXPECT_EQ(index.SegSize(lhs, i), segments[static_cast<size_t>(i)])
           << name << " segment " << i;
-      total += want.segments[static_cast<size_t>(i)];
+      total += segments[static_cast<size_t>(i)];
     }
     EXPECT_EQ(index.SegTotal(lhs), total) << name;
-
-    // A table, when built, is exact: every material label at its first
-    // derived occurrence, no other label. The start rule gets none.
-    bool has_table = false;
-    for (const auto& [label, occ] : want.first) {
-      std::optional<RuleIndex::FirstOcc> fo = index.FirstOccurrence(lhs, label);
-      if (!fo.has_value()) continue;
-      has_table = true;
-      EXPECT_EQ(fo->offset, occ.offset) << name << " " << label;
-      EXPECT_EQ(fo->params_before, occ.params_before) << name << " " << label;
-    }
-    if (!has_table) return;
-    ++tables;
-    EXPECT_NE(lhs, g.start());
-    for (LabelId l = 0; l < g.labels().size(); ++l) {
-      EXPECT_EQ(index.FirstOccurrence(lhs, l).has_value(),
-                want.first.count(l) > 0)
-          << name << " " << l;
-    }
   });
-  EXPECT_GT(tables, 0);
 
   // Filter: no false negatives against the recursive definition.
   std::map<LabelId, std::set<LabelId>> sets = MaterialLabelSets(g);
@@ -228,9 +193,6 @@ void CheckIndex(const Grammar& g) {
           << "rule " << rule << " label " << g.labels().Name(l);
     }
   }
-
-  // A label the grammar never interned has no first occurrence.
-  EXPECT_FALSE(index.FirstOccurrence(g.start(), kNoLabel).has_value());
 }
 
 class RuleIndexCorpusTest : public ::testing::TestWithParam<Corpus> {};

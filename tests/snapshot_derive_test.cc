@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -123,13 +122,6 @@ void ExpectSameAsMake(const GrammarSnapshot& got) {
     });
     for (LabelId m = 0; m < n; ++m) {
       ASSERT_EQ(gs.MayContain(l, m), ws.MayContain(l, m)) << l << "/" << m;
-      std::optional<RuleIndex::FirstOcc> a = gs.FirstOccurrence(l, m);
-      std::optional<RuleIndex::FirstOcc> b = ws.FirstOccurrence(l, m);
-      ASSERT_EQ(a.has_value(), b.has_value()) << l << "/" << m;
-      if (a) {
-        ASSERT_EQ(a->offset, b->offset) << l << "/" << m;
-        ASSERT_EQ(a->params_before, b->params_before) << l << "/" << m;
-      }
     }
   }
 }

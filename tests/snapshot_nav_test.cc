@@ -4,7 +4,9 @@
 // whose rules take parameters, rules with empty parameter segments, and
 // served snapshots whose start rules were edited by write batches. At
 // every position LabelAt must step over the arguments that hold it
-// rather than enter the callee and come back out (no frame left).
+// rather than enter the callee and come back out (it never meets a
+// parameter). On small documents FindLabel is checked at every k, so
+// its descent pops out of every parameter, empty segments included.
 
 #include "src/core/snapshot_nav.h"
 
@@ -35,6 +37,10 @@ Grammar CompressedCorpus(Corpus c) {
   Tree bin = EncodeBinary(xml, &labels);
   return GrammarRePair(Grammar::ForTree(std::move(bin), labels), {}).grammar;
 }
+
+// Documents up to this many nodes get FindLabel at every k; larger ones
+// at the first, a middle and the last occurrence of each label.
+constexpr int64_t kEveryOccurrenceNodes = 256;
 
 // Checks every navigation query against the decompressed tree, on
 // `index` (g's served index) or, when null, on a fresh Build of g.
@@ -70,8 +76,12 @@ void CrossCheck(const Grammar& g, const RuleIndex* index = nullptr) {
 
   for (const auto& [label, where] : positions) {
     const int64_t count = static_cast<int64_t>(where.size());
-    // First, a middle one, and the last occurrence.
-    for (int64_t k : {int64_t{1}, (count + 1) / 2, count}) {
+    std::vector<int64_t> ks = {1, (count + 1) / 2, count};
+    if (n <= kEveryOccurrenceNodes) {
+      ks.clear();
+      for (int64_t k = 1; k <= count; ++k) ks.push_back(k);
+    }
+    for (int64_t k : ks) {
       StatusOr<int64_t> pos = nav.FindLabel(label, k);
       ASSERT_TRUE(pos.ok()) << "label " << label << " k " << k;
       ASSERT_EQ(pos.value(), where[k - 1]) << "label " << label << " k " << k;
