@@ -17,6 +17,13 @@
 // rules is workload context. The bench itself hard-checks
 // rules_visited <= rule count and engine == oracle on every query.
 //
+// Per corpus, two find rows time GrammarSnapshot::FindElement of the
+// middle occurrence of the same tag on a served snapshot: `cold` is
+// the snapshot's first find of the tag (the occurrence pass plus the
+// descent), `warm` the second (the descent over the memoized table).
+// nodes_walked is the body nodes each walked, gated exactly; find_us
+// is advisory. Both answers are checked against the scan.
+//
 // Flags: --scale (default 0.01), --reps (timing repetitions), --out.
 
 #include <algorithm>
@@ -34,6 +41,7 @@
 #include "src/grammar/value.h"
 #include "src/obs/session.h"
 #include "src/query/engine.h"
+#include "src/service/snapshot.h"
 #include "src/xml/binary_encoding.h"
 
 namespace slg {
@@ -106,6 +114,47 @@ std::string FrequentTag(const Grammar& g) {
     }
   }
   return g.labels().Name(best);
+}
+
+// Preorder position of the k-th node labeled `tag` in val(G), by scan.
+int64_t OracleFind(const Grammar& g, const std::string& tag, int64_t k) {
+  Tree full = Value(g).take();
+  LabelId want = g.labels().Find(tag);
+  int64_t pos = 0;
+  int64_t found = 0;
+  full.VisitPreorder(full.root(), [&](NodeId v) {
+    ++pos;
+    if (full.label(v) == want && --k == 0) found = pos;
+  });
+  return found;
+}
+
+struct FindResult {
+  NavStats stats;
+  double us = 0;
+};
+
+// The first (cold) and second (warm) find of the k-th `tag` on fresh
+// snapshots of g, compacted as served snapshots are, each checked
+// against `expect`; times are means over `reps` snapshots.
+std::pair<FindResult, FindResult> RunFinds(const Grammar& g,
+                                           const std::string& tag, int64_t k,
+                                           int64_t expect, int reps) {
+  FindResult cold, warm;
+  for (int i = 0; i < reps; ++i) {
+    Grammar served = g.Clone();
+    for (LabelId r : served.Nonterminals()) served.mutable_rhs(r);  // unshare
+    served.CompactOwnedBodies();
+    auto snap = GrammarSnapshot::Make(std::move(served));
+    for (FindResult* r : {&cold, &warm}) {
+      Timer t;
+      StatusOr<int64_t> pos = snap->FindElement(tag, k, &r->stats);
+      r->us += t.ElapsedSeconds() * 1e6 / reps;
+      SLG_CHECK_MSG(pos.ok() && pos.value() == expect,
+                    "find diverged from scan oracle");
+    }
+  }
+  return {cold, warm};
 }
 
 struct CaseResult {
@@ -204,7 +253,23 @@ int Run(int argc, char** argv) {
                 static_cast<long long>(g.RuleCount()),
                 static_cast<long long>(index.DerivedSize()));
     table.Print();
-    std::printf("\n");
+
+    QueryResult count = eng.Run("count(//" + tag + ")").take();
+    const int64_t k = (count.count + 1) / 2;
+    auto [cold, warm] = RunFinds(g, tag, k, OracleFind(g, tag, k), reps);
+    std::printf("find(%s, %lld): cold %lld nodes walked, %.1f us; warm %lld "
+                "nodes walked, %.2f us\n\n",
+                tag.c_str(), static_cast<long long>(k),
+                static_cast<long long>(cold.stats.steps), cold.us,
+                static_cast<long long>(warm.stats.steps), warm.us);
+    for (const auto& [key, r] : {std::pair<const char*, const FindResult&>{
+                                     "cold", cold},
+                                 {"warm", warm}}) {
+      json.Add(std::string("find/") + row.name + "/" + key,
+               {{"nodes_walked", static_cast<double>(r.stats.steps)},
+                {"rules", static_cast<double>(g.RuleCount())},
+                {"find_us", r.us}});
+    }
   }
 
   // Scaling series: the document grows ~8x, the engine's work

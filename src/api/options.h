@@ -75,12 +75,13 @@ struct UpdateOptions {
   double growth_trigger = 0.0;
   // Floor between adaptive recompressions: even when the growth
   // trigger is exceeded, at least this many operations must have been
-  // applied since the last repair. On strongly-compressing documents a
-  // single isolation can add more material than the whole
-  // (logarithmic) grammar holds, so a bare fraction trigger would
-  // recompress every other op — each mini-repair then mints a few
-  // churn rules the next one has to chew through, which is both slower
-  // and larger than letting damage accumulate a little.
+  // applied since the last repair. One isolation inlines the body of
+  // every rule on its root-to-target path, and on strongly-compressing
+  // documents those bodies are a large share of the small
+  // (logarithmic) grammar, so a bare fraction trigger would recompress
+  // every few ops — each mini-repair then mints a few churn rules the
+  // next one has to chew through, which is both slower and larger than
+  // letting damage accumulate a little.
   int min_checkpoint_ops = 64;
 };
 

@@ -84,10 +84,36 @@ StatusOr<LabelId> SnapshotNav::LabelAt(int64_t preorder,
   }
 }
 
-void SnapshotNav::BuildOccIndex(LabelId want, OccIndex* occ) const {
+int64_t OccTable::MemoryBytes() const {
+  int64_t bytes = static_cast<int64_t>(
+      sizeof(OccTable) + val.capacity() * sizeof(int64_t) +
+      static_occ.capacity() * sizeof(std::vector<int64_t>));
+  for (const std::vector<int64_t>& so : static_occ) {
+    bytes += static_cast<int64_t>(so.capacity() * sizeof(int64_t));
+  }
+  return bytes;
+}
+
+StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k,
+                                         NavStats* stats) const {
+  if (k < 1) return Status::InvalidArgument("k must be >= 1");
+  if (want == kNoLabel ||
+      static_cast<size_t>(want) >= static_cast<size_t>(index_->num_labels())) {
+    return Status::NotFound("tag never occurs");
+  }
+  if (stats != nullptr) *stats = NavStats{};
+  return FindLabel(CountOccurrences(want, stats), k, stats);
+}
+
+OccTable SnapshotNav::CountOccurrences(LabelId want, NavStats* stats) const {
+  SLG_CHECK_MSG(want >= 0 && want < index_->num_labels(),
+                "occurrence pass for a label outside the grammar");
   size_t num_labels = static_cast<size_t>(index_->num_labels());
-  occ->val.assign(num_labels, -1);
-  occ->static_occ.resize(num_labels);
+  OccTable occ;
+  occ.want = want;
+  occ.val.assign(num_labels, -1);
+  occ.static_occ.resize(num_labels);
+  int64_t walked = 0;
   // Depth-first post-order over the rule DAG, each rule visited once:
   // a visit scans its body for callees not yet counted, suspends at
   // each one while the callee's visit runs, and counts its own nodes
@@ -95,7 +121,8 @@ void SnapshotNav::BuildOccIndex(LabelId want, OccIndex* occ) const {
   // acyclic, so a rule is never met while its own visit is open. The
   // visits' preorders share one buffer: visit i's sits at
   // order[begin, end), where end is the next visit's begin (or the
-  // buffer's size for the innermost one).
+  // buffer's size for the innermost one). val[l] is -2 while l's visit
+  // is open.
   struct Visit {
     LabelId rule;
     size_t begin;
@@ -107,16 +134,17 @@ void SnapshotNav::BuildOccIndex(LabelId want, OccIndex* occ) const {
   auto open = [&](LabelId r) -> bool {
     if (!index_->MayContain(r, want)) {
       // No occurrence in the whole sub-DAG: the filter covers callees.
-      occ->val[static_cast<size_t>(r)] = 0;
+      occ.val[static_cast<size_t>(r)] = 0;
       return false;
     }
-    occ->val[static_cast<size_t>(r)] = -2;  // open
+    occ.val[static_cast<size_t>(r)] = -2;  // open
     Visit vis{r, order.size(), order.size(), 0};
     const Tree& t = index_->Rhs(r);
     t.VisitPreorder(t.root(), [&](NodeId v) {
       order.push_back(v);
       vis.max_id = std::max(vis.max_id, v);
     });
+    walked += static_cast<int64_t>(order.size() - vis.begin);
     visits.push_back(vis);
     return true;
   };
@@ -127,19 +155,19 @@ void SnapshotNav::BuildOccIndex(LabelId want, OccIndex* occ) const {
     bool suspended = false;
     while (!suspended && vis.next < order.size()) {
       LabelId l = t.label(order[vis.next++]);
-      if (index_->IsNonterminal(l) && occ->val[static_cast<size_t>(l)] == -1) {
+      if (index_->IsNonterminal(l) && occ.val[static_cast<size_t>(l)] == -1) {
         suspended = open(l);  // invalidates vis when it opens
       }
     }
     if (suspended) continue;
-    std::vector<int64_t>& so = occ->static_occ[static_cast<size_t>(vis.rule)];
+    std::vector<int64_t>& so = occ.static_occ[static_cast<size_t>(vis.rule)];
     so.assign(static_cast<size_t>(vis.max_id) + 1, 0);
     for (size_t i = order.size(); i-- > vis.begin;) {
       NodeId v = order[i];
       LabelId l = t.label(v);
       int64_t o = 0;
       if (index_->IsNonterminal(l)) {
-        o = occ->val[static_cast<size_t>(l)];
+        o = occ.val[static_cast<size_t>(l)];
         SLG_DCHECK(o >= 0);
       } else if (index_->ParamIndex(l) == 0 && l == want) {
         o = 1;
@@ -149,23 +177,22 @@ void SnapshotNav::BuildOccIndex(LabelId want, OccIndex* occ) const {
       }
       so[static_cast<size_t>(v)] = o;
     }
-    occ->val[static_cast<size_t>(vis.rule)] = so[static_cast<size_t>(t.root())];
+    occ.val[static_cast<size_t>(vis.rule)] = so[static_cast<size_t>(t.root())];
     order.resize(vis.begin);
     visits.pop_back();
   }
+  occ.total = occ.val[static_cast<size_t>(g_->start())];
+  if (stats != nullptr) stats->steps += walked;
+  return occ;
 }
 
-StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
+StatusOr<int64_t> SnapshotNav::FindLabel(const OccTable& occ, int64_t k,
+                                         NavStats* stats) const {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (want == kNoLabel ||
-      static_cast<size_t>(want) >= static_cast<size_t>(index_->num_labels())) {
-    return Status::NotFound("tag never occurs");
-  }
-  OccIndex occ;
-  BuildOccIndex(want, &occ);
-  if (occ.val[static_cast<size_t>(g_->start())] < k) {
+  if (occ.total < k) {
     return Status::NotFound("fewer than k occurrences of tag");
   }
+  NavStats work;
   // Same descent as LabelAt, steering by occurrence counts while
   // accumulating the preorder position from subtree sizes. pos counts
   // the nodes strictly before the current subtree.
@@ -178,12 +205,15 @@ StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
     ResolveToTerminal(
         *index_, rule, v,
         [&]() -> std::pair<LabelId, NodeId> {
+          ++work.steps;
           NodeId call = fs.top().call;
           occ_prefix.resize(fs.top().base);
           fs.Pop();
           return {fs.top().rule, call};
         },
         [&](LabelId callee) {
+          ++work.steps;
+          ++work.frames_entered;
           const Frame& f = fs.top();
           const Tree& t = index_->Rhs(rule);
           size_t base = fs.sizes.size();
@@ -198,11 +228,18 @@ StatusOr<int64_t> SnapshotNav::FindLabel(LabelId want, int64_t k) const {
           }
           fs.stack.push_back(Frame{callee, v, base});
         });
+    ++work.steps;
     const Frame& f = fs.top();
     const Tree& t = index_->Rhs(rule);
     LabelId l = t.label(v);
-    if (l == want) {
-      if (k == 1) return SizeSatAdd(pos, 1);
+    if (l == occ.want) {
+      if (k == 1) {
+        if (stats != nullptr) {
+          stats->steps += work.steps;
+          stats->frames_entered += work.frames_entered;
+        }
+        return SizeSatAdd(pos, 1);
+      }
       --k;
     }
     pos = SizeSatAdd(pos, 1);

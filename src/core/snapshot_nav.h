@@ -28,12 +28,18 @@
 // meets a parameter (it checks that) — so it keeps no frame stack,
 // only the current rule's argument-size prefix sums; a call costs
 // O(rank) and the whole descent O(body nodes on the root-to-target
-// path + rank per call on it). FindLabel first computes per-rule
-// occurrence counts of the wanted label (one pass over the rules
-// whose filter admits it, per query) and then descends steering by
-// counts, entering every call on its path and popping back to the
-// caller at a parameter (a stack of call frames); both are sub-linear
-// in the document and neither touches the grammar.
+// path + rank per call on it).
+//
+// FindLabel has two halves. The occurrence pass (CountOccurrences)
+// computes per-rule occurrence counts of the wanted label in one pass
+// over the rules whose filter admits it, and returns them as an
+// immutable OccTable. The descent (FindLabel over a table) then steers
+// by those counts, entering every call on its path and popping back to
+// the caller at a parameter (a stack of call frames). The table
+// depends only on the version and the label, so a caller that keeps
+// it pays the pass once per (version, label): GrammarSnapshot memoizes
+// them (service/snapshot.h). Both halves are sub-linear in the
+// document and neither touches the grammar.
 //
 // All sizes saturate at kSizeCap (value.h); positions beyond the cap
 // are not addressable (FindLabel reports any of them as kSizeCap),
@@ -57,11 +63,30 @@
 
 namespace slg {
 
-// Work of one LabelAt descent: body nodes it stood on and rules it
-// entered at a call.
+// Work of one navigation call: body nodes it walked (for a find, the
+// occurrence pass's plus the descent's) and rules it entered at a
+// call.
 struct NavStats {
   int64_t steps = 0;
   int64_t frames_entered = 0;
+};
+
+// Occurrences of one label in one grammar version: val[l] is the count
+// in val(l) (parameters contribute nothing; -1 for a rule the pass
+// never reached) and static_occ[l][v] the
+// count under body node v of rule l with every parameter substituted
+// by the empty context. A rule whose label filter rejects the label
+// counts 0 and keeps an empty per-node vector (RuleIndex::InContext
+// reads it as all-zero). Built by SnapshotNav::CountOccurrences and
+// immutable afterwards, so any number of descents may share one.
+struct OccTable {
+  LabelId want = kNoLabel;
+  int64_t total = 0;         // occurrences in val(S)
+  std::vector<int64_t> val;  // by LabelId
+  std::vector<std::vector<int64_t>> static_occ;  // by LabelId, by NodeId
+
+  // Heap and object bytes the table holds.
+  int64_t MemoryBytes() const;
 };
 
 class SnapshotNav {
@@ -83,9 +108,24 @@ class SnapshotNav {
   StatusOr<LabelId> LabelAt(int64_t preorder, NavStats* stats = nullptr) const;
 
   // 1-based binary preorder position of the k-th (1-based) node of
-  // val(S) labeled `want`. InvalidArgument when k < 1; NotFound when
-  // fewer than k occur.
-  StatusOr<int64_t> FindLabel(LabelId want, int64_t k) const;
+  // val(S) labeled `want`: CountOccurrences, then the descent over its
+  // table. InvalidArgument when k < 1; NotFound when fewer than k
+  // occur. `stats`, when non-null, receives the work of both halves.
+  StatusOr<int64_t> FindLabel(LabelId want, int64_t k,
+                              NavStats* stats = nullptr) const;
+
+  // The occurrence pass: the table of `want` (a label of the grammar),
+  // from one depth-first pass over the reachable rules whose label
+  // filter admits it. `stats`, when non-null, has the body nodes the
+  // pass walked added to its steps.
+  OccTable CountOccurrences(LabelId want, NavStats* stats = nullptr) const;
+
+  // The descent: the position of the k-th occurrence of the label
+  // `occ` counts (a table of this version). InvalidArgument when
+  // k < 1; NotFound when fewer than k occur. `stats`, when non-null,
+  // has the descent's work added to it.
+  StatusOr<int64_t> FindLabel(const OccTable& occ, int64_t k,
+                              NavStats* stats = nullptr) const;
 
  private:
   // The call frames of FindLabel's descent, innermost last: the rule
@@ -115,22 +155,9 @@ class SnapshotNav {
     return index_->DerivedIn(f.rule, v, fs.sizes.data() + f.base);
   }
 
-  // Per-rule occurrence counts of `want` (val[l] = occurrences in
-  // val(l), parameters contributing nothing) plus per-node static
-  // occurrence counts, computed by one depth-first pass over the
-  // reachable rules whose label filter admits `want`; a rule the
-  // filter rejects counts 0 and keeps an empty per-node vector
-  // (InContext reads it as all-zero). Purely local to one query —
-  // SnapshotNav keeps no mutable state, so concurrent queries stay
-  // race-free.
-  struct OccIndex {
-    std::vector<int64_t> val;  // by LabelId; -1 unset, -2 while counting
-    std::vector<std::vector<int64_t>> static_occ;  // by LabelId, by NodeId
-  };
-  void BuildOccIndex(LabelId want, OccIndex* occ) const;
   // Occurrences in the derived subtree of body node v of f.rule, with
   // f's occurrence prefix sums at occ_prefix[f.base ..].
-  int64_t OccIn(const OccIndex& occ, const std::vector<int64_t>& occ_prefix,
+  int64_t OccIn(const OccTable& occ, const std::vector<int64_t>& occ_prefix,
                 const Frame& f, NodeId v) const {
     return index_->InContext(f.rule, v,
                              occ.static_occ[static_cast<size_t>(f.rule)],

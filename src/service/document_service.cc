@@ -419,6 +419,10 @@ DocumentService::Stats DocumentService::GetStats() const {
   s.overlay_batches = state_->overlay_batches;
   s.overlay_edges = state_->overlay_edges;
   s.base_version = merged_version_;
+  s.read_memo_bytes = state_->base->ReadMemoBytes();
+  if (state_->overlay != nullptr && state_->overlay != state_->base) {
+    s.read_memo_bytes += state_->overlay->ReadMemoBytes();
+  }
   return s;
 }
 

@@ -177,6 +177,9 @@ class DocumentService {
     int64_t overlay_batches = 0;
     int64_t overlay_edges = 0;
     int64_t base_version = 0;  // acked batches folded into base
+    // Bytes of FindElement occurrence tables the current base and
+    // overlay snapshots hold (GrammarSnapshot::ReadMemoBytes).
+    int64_t read_memo_bytes = 0;
   };
   Stats GetStats() const;
 

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/common/check.h"
 #include "src/grammar/orders.h"
 #include "src/grammar/value.h"
 #include "src/pipeline/sharded_compressor.h"
@@ -66,7 +67,59 @@ GrammarSnapshot::GrammarSnapshot(Grammar g,
       nav_(&g_, index_.get()),
       version_(version),
       edges_(index_->EdgeCount()),
-      element_count_(index_->DerivedElementCount()) {}
+      element_count_(index_->DerivedElementCount()),
+      memo_(index_->num_labels(), kReadMemoBytesPerEdge * edges_) {}
+
+GrammarSnapshot::ReadMemo::~ReadMemo() {
+  Slot* slots = slots_.load(std::memory_order_acquire);
+  if (slots == nullptr) return;
+  for (int l = 0; l < num_labels_; ++l) {
+    delete slots[l].load(std::memory_order_acquire);
+  }
+  delete[] slots;
+}
+
+const OccTable* GrammarSnapshot::ReadMemo::Find(LabelId want) const {
+  SLG_DCHECK(want >= 0 && want < num_labels_);
+  const Slot* slots = slots_.load(std::memory_order_acquire);
+  if (slots == nullptr) return nullptr;
+  return slots[want].load(std::memory_order_acquire);
+}
+
+GrammarSnapshot::ReadMemo::Slot* GrammarSnapshot::ReadMemo::Slots() {
+  Slot* slots = slots_.load(std::memory_order_acquire);
+  if (slots != nullptr) return slots;
+  Slot* fresh = new Slot[static_cast<size_t>(num_labels_)];
+  for (int l = 0; l < num_labels_; ++l) {
+    fresh[l].store(nullptr, std::memory_order_relaxed);
+  }
+  if (slots_.compare_exchange_strong(slots, fresh, std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+    return fresh;
+  }
+  delete[] fresh;  // another find allocated it first
+  return slots;
+}
+
+const OccTable* GrammarSnapshot::ReadMemo::Publish(
+    LabelId want, std::unique_ptr<OccTable>& table) {
+  // Reserve the table's bytes first, so the memo never holds more than
+  // the budget, even between racing publishers.
+  const int64_t need = table->MemoryBytes();
+  int64_t held = bytes_.load(std::memory_order_relaxed);
+  do {
+    if (held + need > budget_) return table.get();
+  } while (!bytes_.compare_exchange_weak(held, held + need,
+                                         std::memory_order_relaxed));
+  const OccTable* winner = nullptr;
+  if (Slots()[want].compare_exchange_strong(winner, table.get(),
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+    return table.release();
+  }
+  bytes_.fetch_sub(need, std::memory_order_relaxed);
+  return winner;
+}
 
 std::shared_ptr<const GrammarSnapshot> GrammarSnapshot::Make(Grammar g,
                                                              int64_t version) {
@@ -92,13 +145,20 @@ StatusOr<std::string> GrammarSnapshot::LabelAt(int64_t preorder) const {
 }
 
 StatusOr<int64_t> GrammarSnapshot::FindElement(std::string_view tag,
-                                               int64_t k) const {
+                                               int64_t k,
+                                               NavStats* stats) const {
   // Argument validity precedes existence, matching every read
   // surface's status contract (tests/status_contract_test.cc).
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   LabelId want = g_.labels().Find(tag);
   if (want == kNoLabel) return Status::NotFound("tag never occurs");
-  return nav_.FindLabel(want, k);
+  if (stats != nullptr) *stats = NavStats{};
+  if (const OccTable* hit = memo_.Find(want)) {
+    return nav_.FindLabel(*hit, k, stats);
+  }
+  auto table =
+      std::make_unique<OccTable>(nav_.CountOccurrences(want, stats));
+  return nav_.FindLabel(*memo_.Publish(want, table), k, stats);
 }
 
 StatusOr<QueryResult> GrammarSnapshot::RunQuery(std::string_view query) const {

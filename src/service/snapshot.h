@@ -7,9 +7,23 @@
 // navigation, the query engine, a write's seed), a SnapshotNav
 // (derived-position queries) and cached document statistics — all
 // built eagerly inside Make() or Derive() before the shared_ptr ever
-// escapes, so no reader can observe a half-initialized index and no
-// query path touches mutable state.
+// escapes, so no reader can observe a half-initialized index.
 // Any number of threads may call the const query methods concurrently.
+//
+// One query path touches mutable state: the read memo. FindElement's
+// occurrence pass (SnapshotNav::CountOccurrences) depends only on the
+// version and the tag, so the snapshot keeps the table of each tag it
+// was asked, and every later find of that tag goes straight to the
+// descent. The memo is filled lazily and lock-free. Its slot array (one
+// atomic pointer per label) is allocated by the first table published,
+// so a version nobody asks a find costs nothing more. Each table is
+// published once per label by a compare-and-swap from null: a hit is
+// two acquire loads, and a racing loser drops its own table and
+// descends over the winner's. Published tables are immutable and die
+// with the snapshot. The memo's bytes are capped at
+// kReadMemoBytesPerEdge per grammar edge; a table that does not fit is
+// used for its one call and dropped (ReadMemoBytes() reports what is
+// held).
 //
 // A snapshot is built from scratch (Make: ingest, a loaded grammar) or
 // derived from its parent (Derive: every applied batch and merge). The
@@ -31,6 +45,7 @@
 #ifndef SLG_SERVICE_SNAPSHOT_H_
 #define SLG_SERVICE_SNAPSHOT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -94,9 +109,12 @@ class GrammarSnapshot {
 
   // Binary preorder position of the k-th (1-based) node with the
   // given tag. InvalidArgument when k < 1; NotFound for an unknown
-  // tag or fewer than k occurrences. O(grammar + depth), never
-  // decompresses.
-  StatusOr<int64_t> FindElement(std::string_view tag, int64_t k = 1) const;
+  // tag or fewer than k occurrences. The first find of a tag pays the
+  // occurrence pass, O(grammar); later ones only the descent (the read
+  // memo above). Never decompresses. `stats`, when non-null, receives
+  // the body nodes walked: the pass's (on a miss) plus the descent's.
+  StatusOr<int64_t> FindElement(std::string_view tag, int64_t k = 1,
+                                NavStats* stats = nullptr) const;
 
   // Path query (src/query/) evaluated on the grammar with per-rule
   // memoization — no decompression. InvalidArgument on malformed
@@ -112,7 +130,48 @@ class GrammarSnapshot {
   // the cursor's lifetime.
   GrammarCursor Cursor() const;
 
+  // The read memo's byte budget per grammar edge. An occurrence table
+  // holds one count per body node of the rules it admits plus four
+  // words per label: about 11 bytes per edge for the most widespread
+  // tags of the medline and treebank corpora, so the budget holds
+  // about eight such tables.
+  static constexpr int64_t kReadMemoBytesPerEdge = 96;
+  // Bytes of occurrence tables the read memo holds; never more than
+  // kReadMemoBytesPerEdge * edges().
+  int64_t ReadMemoBytes() const { return memo_.bytes(); }
+
  private:
+  // FindElement's occurrence tables, one per label at most, published
+  // once each (see the file comment).
+  class ReadMemo {
+   public:
+    ReadMemo(int num_labels, int64_t budget)
+        : num_labels_(num_labels), budget_(budget) {}
+    ~ReadMemo();
+    ReadMemo(const ReadMemo&) = delete;
+    ReadMemo& operator=(const ReadMemo&) = delete;
+
+    // The published table of `want`, or null.
+    const OccTable* Find(LabelId want) const;
+    // Offers `table` as want's entry and returns the table to descend
+    // over: `table`, now owned by the memo, when it is published; the
+    // entry another thread published first (`table` stays with the
+    // caller, to be dropped); or `table`, still the caller's, when the
+    // budget cannot hold it.
+    const OccTable* Publish(LabelId want, std::unique_ptr<OccTable>& table);
+    int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
+
+   private:
+    using Slot = std::atomic<const OccTable*>;
+    // The slot array, allocated by the first Publish.
+    Slot* Slots();
+
+    const int num_labels_;
+    const int64_t budget_;
+    std::atomic<Slot*> slots_{nullptr};
+    std::atomic<int64_t> bytes_{0};
+  };
+
   // The index must be g's (it points at g's rule bodies, which stay
   // put when the grammar object moves).
   GrammarSnapshot(Grammar g, std::shared_ptr<const RuleIndex> index,
@@ -124,6 +183,7 @@ class GrammarSnapshot {
   int64_t version_ = 0;
   int64_t edges_ = 0;
   int64_t element_count_ = 0;
+  mutable ReadMemo memo_;
 };
 
 // Parses and compresses an XML document into a fresh snapshot — the

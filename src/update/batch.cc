@@ -36,11 +36,24 @@ void BatchUpdater::CountStartCalls(const Tree& t, NodeId subtree_root,
   });
 }
 
-void BatchUpdater::ComputeDerivedFresh(NodeId subtree_root) {
+void BatchUpdater::ComputeDerivedFresh(NodeId subtree_root,
+                                       const std::vector<NodeId>& moved) {
   Tree& t = g_->mutable_rhs(g_->start());
-  std::vector<NodeId> fresh = t.Preorder(subtree_root);
   // Fresh material in the start rule: an inlined rule body (isolation
-  // partially decompresses) or a copied insert fragment.
+  // partially decompresses) or a copied insert fragment. Parents come
+  // before their children in `fresh`; the moved subtrees are not
+  // entered.
+  std::vector<NodeId> fresh;
+  std::vector<NodeId> stack = {subtree_root};
+  while (!stack.empty()) {
+    NodeId u = stack.back();
+    stack.pop_back();
+    if (std::find(moved.begin(), moved.end(), u) != moved.end()) continue;
+    fresh.push_back(u);
+    for (NodeId c = t.first_child(u); c != kNilNode; c = t.next_sibling(c)) {
+      stack.push_back(c);
+    }
+  }
   edges_added_ += static_cast<int64_t>(fresh.size());
   NoteDamage(g_->start());
   NodeId max_id = static_cast<NodeId>(derived_.size()) - 1;
@@ -105,7 +118,12 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
       v = arg;
       continue;
     }
-    // Inside the callee's own material: inline the call.
+    // Inside the callee's own material: inline the call. Its argument
+    // subtrees move into the copy with their NodeIds and sizes.
+    std::vector<NodeId> args;
+    for (NodeId c = t.first_child(v); c != kNilNode; c = t.next_sibling(c)) {
+      args.push_back(c);
+    }
     std::vector<NodeId> new_calls;
     NodeId copy_root = InlineCall(*g_, &t, v, g_->rhs(l), &new_calls);
     --start_calls_[static_cast<size_t>(l)];
@@ -114,7 +132,7 @@ StatusOr<NodeId> BatchUpdater::Isolate(int64_t preorder) {
     // body now sits duplicated in the start rule, so the localized
     // repair must see its occurrences to fold the copy back in.
     NoteDamage(l);
-    ComputeDerivedFresh(copy_root);
+    ComputeDerivedFresh(copy_root, args);
     v = copy_root;
   }
 }

@@ -105,7 +105,8 @@ class BatchUpdater {
 
   // Gross number of fresh nodes materialized in the start rule since
   // the last ResetDamage(): inlined rule bodies (isolation partially
-  // decompresses) plus copied insert fragments. This measures how much
+  // decompresses; the argument subtrees an inline moves into the copy
+  // were already there and do not count) plus copied insert fragments. This measures how much
   // un-compressed material the batch has accumulated — the adaptive
   // recompression trigger compares it against the grammar size.
   int64_t EdgesAdded() const { return edges_added_; }
@@ -133,8 +134,11 @@ class BatchUpdater {
   }
 
   // Bottom-up derived sizes for a freshly created subtree (inlined
-  // rule body or copied insert fragment).
-  void ComputeDerivedFresh(NodeId subtree_root);
+  // rule body or copied insert fragment), counted into EdgesAdded. The
+  // `moved` subtrees (an inlined call's arguments, spliced into the
+  // copy) are not fresh: their sizes stand and they are not counted.
+  void ComputeDerivedFresh(NodeId subtree_root,
+                           const std::vector<NodeId>& moved = {});
   // Re-derives sizes along the spine from `from` to the root after an
   // edit below `from` changed subtree sizes.
   void RecomputeUpward(NodeId from);

@@ -149,6 +149,37 @@ TEST(DocumentServiceTest, SingleWriterRoundTrip) {
   EXPECT_EQ(r1.LabelAt(pos2.value()).value(), "new");
 }
 
+TEST(DocumentServiceTest, StatsReportReadMemoBytes) {
+  auto svc = DocumentService::FromXml(kDoc, ManualMerge()).take();
+  EXPECT_EQ(svc->GetStats().read_memo_bytes, 0);
+  DocumentService::Reader r0 = svc->OpenReader();
+  ASSERT_TRUE(r0.FindElement("entry", 1).ok());
+  const int64_t base_bytes = svc->GetStats().read_memo_bytes;
+  EXPECT_GT(base_bytes, 0);
+  EXPECT_EQ(base_bytes, r0.snapshot().ReadMemoBytes());
+  // A second find of the same tag is served from the memo.
+  ASSERT_TRUE(r0.FindElement("entry", 2).ok());
+  EXPECT_EQ(svc->GetStats().read_memo_bytes, base_bytes);
+
+  // The overlay is a new version with a memo of its own; the base's
+  // still counts.
+  auto writer = svc->OpenWriter();
+  ASSERT_TRUE(writer.InsertXmlBefore(r0.FindElement("entry", 1).value(),
+                                     "<entry><new/></entry>")
+                  .ok());
+  EXPECT_EQ(svc->GetStats().read_memo_bytes, base_bytes);
+  DocumentService::Reader r1 = svc->OpenReader();
+  ASSERT_TRUE(r1.has_overlay());
+  ASSERT_TRUE(r1.FindElement("new", 1).ok());
+  EXPECT_EQ(svc->GetStats().read_memo_bytes,
+            base_bytes + r1.snapshot().ReadMemoBytes());
+  EXPECT_GT(r1.snapshot().ReadMemoBytes(), 0);
+
+  // A merge publishes a fresh base with an empty memo.
+  ASSERT_TRUE(svc->Flush().ok());
+  EXPECT_EQ(svc->GetStats().read_memo_bytes, 0);
+}
+
 TEST(DocumentServiceTest, ReadYourWritesAfterEveryAck) {
   Fixture f = MakeFixture(Corpus::kExiWeblog, 0.02, 40, 4, 11);
   auto svc = DocumentService::FromGrammar(f.seed.Clone(), ManualMerge()).take();
