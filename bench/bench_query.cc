@@ -262,14 +262,14 @@ int Run(int argc, char** argv) {
                 tag.c_str(), static_cast<long long>(k),
                 static_cast<long long>(cold.stats.steps), cold.us,
                 static_cast<long long>(warm.stats.steps), warm.us);
-    for (const auto& [key, r] : {std::pair<const char*, const FindResult&>{
-                                     "cold", cold},
-                                 {"warm", warm}}) {
+    auto add_find = [&](const char* key, const FindResult& r) {
       json.Add(std::string("find/") + row.name + "/" + key,
                {{"nodes_walked", static_cast<double>(r.stats.steps)},
                 {"rules", static_cast<double>(g.RuleCount())},
                 {"find_us", r.us}});
-    }
+    };
+    add_find("cold", cold);
+    add_find("warm", warm);
   }
 
   // Scaling series: the document grows ~8x, the engine's work
