@@ -21,7 +21,7 @@ StatusOr<CompressedXmlTree> CompressedXmlTree::FromXml(
 
 StatusOr<CompressedXmlTree> CompressedXmlTree::FromGrammar(
     Grammar g, const UpdateOptions& update) {
-  SLG_RETURN_IF_ERROR(Validate(g));
+  SLG_RETURN_IF_ERROR(ValidateDocument(g));
   return CompressedXmlTree(GrammarSnapshot::Make(std::move(g)), update);
 }
 

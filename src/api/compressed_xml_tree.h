@@ -61,7 +61,8 @@ class CompressedXmlTree {
       std::string_view xml, const CompressOptions& compress = {},
       const UpdateOptions& update = {});
 
-  // Adopts an existing grammar (must be a valid binary XML encoding).
+  // Adopts an existing grammar (must be a valid binary XML encoding:
+  // ValidateDocument).
   static StatusOr<CompressedXmlTree> FromGrammar(
       Grammar g, const UpdateOptions& update = {});
 

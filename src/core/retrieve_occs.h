@@ -102,8 +102,8 @@ class GrammarDigramIndex {
   // Most frequent appropriate digram under `options`, or nullopt.
   // Deterministic: among all digrams with the maximal weighted count,
   // the lexicographically smallest eligible one — a pure function of
-  // the current count table, which the mode-equivalence and
-  // legacy-index cross-check tests rely on.
+  // the current count table, which the mode-equivalence tests and
+  // the lockstep test against the reference index rely on.
   std::optional<Digram> MostFrequent(const LabelTable& labels,
                                      const RepairOptions& options);
 

@@ -191,12 +191,13 @@ StatusOr<Grammar> DeserializeGrammar(std::string_view bytes) {
   if (!r.AtEnd()) return Corrupt("trailing bytes");
   g.set_start(static_cast<LabelId>(start));
   // A well-framed image can still encode a structurally invalid
-  // grammar (bad ranks, dangling rule references, cyclic calls).
-  // Validate() classifies those as precondition failures of the live
-  // API; from a deserializer they are corrupt *input*, so remap to
-  // InvalidArgument — callers branch on the code, and every later pass
-  // (navigation, repair, value) assumes a validated grammar.
-  Status valid = Validate(g);
+  // grammar (bad ranks, dangling rule references, cyclic calls, a
+  // terminal too wide for a document). ValidateDocument() classifies
+  // those as precondition failures of the live API; from a
+  // deserializer they are corrupt *input*, so remap to InvalidArgument
+  // — callers branch on the code, and every later pass (navigation,
+  // repair, value, queries) assumes a validated document grammar.
+  Status valid = ValidateDocument(g);
   if (!valid.ok()) {
     return Corrupt(valid.message().c_str());
   }

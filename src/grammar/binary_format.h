@@ -8,7 +8,8 @@
 //   rule count; per rule: lhs id, node count, node labels in preorder
 // A node's child count equals its label's rank (parameters have rank
 // 0), so the preorder label sequence determines the tree uniquely.
-// Load validates the result.
+// Load validates the result as a document grammar (ValidateDocument:
+// no terminal of rank above 2).
 
 #ifndef SLG_GRAMMAR_BINARY_FORMAT_H_
 #define SLG_GRAMMAR_BINARY_FORMAT_H_

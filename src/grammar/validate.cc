@@ -1,5 +1,6 @@
 #include "src/grammar/validate.h"
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -7,7 +8,10 @@
 
 namespace slg {
 
-Status Validate(const Grammar& g) {
+namespace {
+
+// Validate, with terminals limited to `max_terminal_rank`.
+Status ValidateRanked(const Grammar& g, int max_terminal_rank) {
   const LabelTable& labels = g.labels();
 
   if (g.start() == kNoLabel || !g.HasRule(g.start())) {
@@ -69,8 +73,12 @@ Status Validate(const Grammar& g) {
         }
         ++next_param;
       }
-      if (l != lhs && !labels.IsParam(l) && !g.HasRule(l)) {
-        // Terminal: fine.
+      if (want > max_terminal_rank && !labels.IsParam(l) && !g.HasRule(l)) {
+        status = Status::FailedPrecondition(
+            "rule " + rule_name + ": terminal '" + labels.Name(l) +
+            "' has rank " + std::to_string(want) + ", above " +
+            std::to_string(max_terminal_rank));
+        return;
       }
       if (g.HasRule(l) && l == g.start()) {
         status = Status::FailedPrecondition(
@@ -87,5 +95,13 @@ Status Validate(const Grammar& g) {
   });
   return status;
 }
+
+}  // namespace
+
+Status Validate(const Grammar& g) {
+  return ValidateRanked(g, std::numeric_limits<int>::max());
+}
+
+Status ValidateDocument(const Grammar& g) { return ValidateRanked(g, 2); }
 
 }  // namespace slg

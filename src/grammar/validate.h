@@ -20,6 +20,14 @@ namespace slg {
 
 Status Validate(const Grammar& g);
 
+// Validate, plus the shape of a served document: a binary-encoded XML
+// tree (first child, next sibling), so no terminal has rank above 2.
+// The query engine gives a terminal's third and later children no
+// context, while a pruned call hands every argument its own; on a
+// wider terminal the answers would depend on how the grammar is
+// factored.
+Status ValidateDocument(const Grammar& g);
+
 }  // namespace slg
 
 #endif  // SLG_GRAMMAR_VALIDATE_H_

@@ -36,7 +36,7 @@ struct DigramHash {
 // Lexicographic order on (parent_label, child_index, child_label):
 // the deterministic tie-break both digram indexes (tree and grammar)
 // use for most-frequent selection — they must agree so that the
-// cross-check and mode-equivalence tests hold.
+// lockstep and mode-equivalence tests hold.
 inline bool DigramLess(const Digram& a, const Digram& b) {
   if (a.parent_label != b.parent_label) return a.parent_label < b.parent_label;
   if (a.child_index != b.child_index) return a.child_index < b.child_index;

@@ -79,7 +79,7 @@ StatusOr<std::unique_ptr<DocumentService>> DocumentService::FromXml(
 
 StatusOr<std::unique_ptr<DocumentService>> DocumentService::FromGrammar(
     Grammar g, const ServiceOptions& options) {
-  SLG_RETURN_IF_ERROR(Validate(g));
+  SLG_RETURN_IF_ERROR(ValidateDocument(g));
   return FromSnapshot(GrammarSnapshot::Make(std::move(g)), options);
 }
 
@@ -116,7 +116,7 @@ StatusOr<std::unique_ptr<DocumentService>> DocumentService::Open(
     StatusOr<RecoveryChain> read = ReadRecoveryChain(options.durable_dir);
     if (!read.ok()) return read.status();
     RecoveryChain chain = read.take();
-    SLG_RETURN_IF_ERROR(Validate(chain.base));
+    SLG_RETURN_IF_ERROR(ValidateDocument(chain.base));
     snap = GrammarSnapshot::Make(std::move(chain.base));
     int64_t gen = chain.generation;
     for (const JournalReplay& journal : chain.journals) {

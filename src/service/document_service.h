@@ -127,7 +127,8 @@ class DocumentService {
   static StatusOr<std::unique_ptr<DocumentService>> FromXml(
       std::string_view xml, const ServiceOptions& options = {});
 
-  // Adopts a compressed grammar (validated).
+  // Adopts a compressed grammar (ValidateDocument: a grammar whose
+  // terminals are wider than binary-encoded XML is refused).
   static StatusOr<std::unique_ptr<DocumentService>> FromGrammar(
       Grammar g, const ServiceOptions& options = {});
 

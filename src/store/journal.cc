@@ -240,7 +240,9 @@ Status DecodeBatch(std::string_view payload, LabelTable* labels,
   ops->clear();
   Reader r(payload);
   uint64_t count = 0;
-  if (!r.ReadVarint(&count) || count > kMaxRecordBody) {
+  // Each op takes at least two bytes (kind, position), so a count past
+  // the payload's length is malformed, not a size to reserve.
+  if (!r.ReadVarint(&count) || count > payload.size()) {
     return Malformed("op count");
   }
   ops->reserve(count);

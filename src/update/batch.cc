@@ -169,12 +169,19 @@ Status BatchUpdater::Rename(int64_t preorder, std::string_view new_label) {
 Status BatchUpdater::InsertBefore(int64_t preorder, const Tree& s) {
   if (s.empty()) return Status::InvalidArgument("empty insert fragment");
   bool calls_rule = false;
+  bool too_wide = false;
   s.VisitPreorder(s.root(), [&](NodeId v) {
     calls_rule = calls_rule || g_->HasRule(s.label(v));
+    too_wide = too_wide || s.NumChildren(v) > 2;
   });
   if (calls_rule) {
     // A rule's label in the fragment would be a call of that rule.
     return Status::InvalidArgument("insert fragment label names a grammar rule");
+  }
+  if (too_wide) {
+    // A document is a binary tree (ValidateDocument).
+    return Status::InvalidArgument(
+        "insert fragment has a node of rank above 2");
   }
   StatusOr<NodeId> u_or = Isolate(preorder);
   if (!u_or.ok()) return u_or.status();

@@ -1,31 +1,20 @@
-// Tests for the batched update engine and the bucketed
-// GrammarDigramIndex port:
+// Tests for the batched update engine:
 //  * applying a workload through BatchUpdater must produce the exact
 //    same grammar (not just the same tree) as applying it one
 //    operation at a time — batching only amortizes snapshot reuse and
 //    garbage-collection timing;
-//  * the bucketed GrammarDigramIndex must drive GrammarRePair to
-//    byte-identical grammars against the legacy hash-set + lazy-heap
-//    index (kept verbatim below) on all four cross-check corpora;
 //  * the worklist CollectGarbageRules must reach the same fixpoint as
 //    the old recompute-everything loop.
 
 #include "src/update/batch.h"
 
-#include "tests/legacy_grammar_index.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "src/core/grammar_repair_impl.h"
-#include "src/core/retrieve_occs.h"
+#include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
 #include "src/grammar/orders.h"
 #include "src/grammar/text_format.h"
@@ -40,77 +29,6 @@
 
 namespace slg {
 namespace {
-
-// ---------------------------------------------------------------------
-// Bucketed vs legacy index: byte-identical grammars through the full
-// GrammarRePair driver, fresh compression and post-update
-// recompression alike.
-
-Grammar CompressedCorpus(Corpus c, double scale, LabelTable* labels_out) {
-  XmlTree xml = GenerateCorpus(c, scale);
-  LabelTable labels;
-  Tree bin = EncodeBinary(xml, &labels);
-  if (labels_out != nullptr) *labels_out = labels;
-  return Grammar::ForTree(std::move(bin), labels);
-}
-
-class GrammarIndexCrossCheckTest : public ::testing::TestWithParam<Corpus> {};
-
-TEST_P(GrammarIndexCrossCheckTest, IdenticalGrammarsFreshCompression) {
-  for (CountingMode mode :
-       {CountingMode::kIncremental, CountingMode::kRecount}) {
-    GrammarRepairOptions opts;
-    opts.counting = mode;
-    Grammar g = CompressedCorpus(GetParam(), 0.02, nullptr);
-    GrammarRepairResult bucket =
-        internal::GrammarRePairWithIndex<GrammarDigramIndex>(g.Clone(), opts);
-    GrammarRepairResult legacy =
-        internal::GrammarRePairWithIndex<LegacyGrammarDigramIndex>(
-            std::move(g), opts);
-    EXPECT_EQ(bucket.rounds, legacy.rounds);
-    EXPECT_EQ(bucket.replacements, legacy.replacements);
-    EXPECT_EQ(FormatGrammar(bucket.grammar), FormatGrammar(legacy.grammar))
-        << "grammars diverge on corpus " << InfoFor(GetParam()).name
-        << " in counting mode " << (mode == CountingMode::kRecount ? "recount"
-                                                                   : "incremental");
-  }
-}
-
-TEST_P(GrammarIndexCrossCheckTest, IdenticalGrammarsAfterUpdates) {
-  // The recompression leg the batched engine exercises: compress,
-  // damage the grammar with a workload, recompress with both indexes.
-  LabelTable labels;
-  Grammar flat = CompressedCorpus(GetParam(), 0.02, &labels);
-  Tree final_tree(flat.rhs(flat.start()));
-  WorkloadOptions wopts;
-  wopts.num_ops = 40;
-  wopts.seed = 13;
-  UpdateWorkload w = MakeUpdateWorkload(final_tree, labels, wopts);
-
-  GrammarRepairOptions ropts;
-  ropts.repair.require_positive_savings = true;
-  Grammar g = GrammarRePair(Grammar::ForTree(Tree(w.seed), labels), ropts)
-                  .grammar;
-  BatchUpdater batch(&g);
-  for (const UpdateOp& op : w.ops) {
-    ASSERT_TRUE(batch.Apply(op).ok());
-  }
-  batch.Finish();
-
-  GrammarRepairResult bucket =
-      internal::GrammarRePairWithIndex<GrammarDigramIndex>(g.Clone(), ropts);
-  GrammarRepairResult legacy =
-      internal::GrammarRePairWithIndex<LegacyGrammarDigramIndex>(std::move(g),
-                                                                 ropts);
-  EXPECT_EQ(FormatGrammar(bucket.grammar), FormatGrammar(legacy.grammar))
-      << "post-update grammars diverge on corpus "
-      << InfoFor(GetParam()).name;
-  EXPECT_TRUE(TreeEquals(Value(bucket.grammar).take(), final_tree));
-}
-
-INSTANTIATE_TEST_SUITE_P(Corpora, GrammarIndexCrossCheckTest,
-                         ::testing::Values(Corpus::kExiWeblog, Corpus::kXMark,
-                                           Corpus::kMedline, Corpus::kNcbi));
 
 // ---------------------------------------------------------------------
 // Batch vs sequential equivalence.

@@ -1,8 +1,9 @@
 // Tests for the bucketed (Larsson-Moffat-style) TreeDigramIndex:
 // neighborhood Add/Remove invariants, the equal-label overlap rule,
-// MostFrequent tie/threshold/rank behavior, and a cross-check that the
-// bucket index and the original hash-set + lazy-heap index drive
-// TreeRePair to identical grammars on synthetic corpus inputs.
+// MostFrequent tie/threshold/rank behavior, and a seeded lockstep run
+// that drives the bucket index and the original hash-set + lazy-heap
+// index through the same calls on corpus trees and compares every
+// answer.
 
 #include "src/repair/digram_index.h"
 
@@ -17,7 +18,8 @@
 
 #include "src/datasets/generators.h"
 #include "src/grammar/text_format.h"
-#include "src/repair/tree_repair_impl.h"
+#include "src/common/rng.h"
+#include "src/repair/digram.h"
 #include "src/tree/tree_io.h"
 #include "src/xml/binary_encoding.h"
 
@@ -26,8 +28,9 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Reference implementation: the pre-bucket index (unordered_set per
-// digram + lazy max-heap of count snapshots), kept verbatim as the
-// semantic baseline the rewrite must match grammar-for-grammar.
+// digram + lazy max-heap of count snapshots), kept as the reference
+// the bucket index must match answer for answer (the lockstep test at
+// the end of this file).
 
 class LegacyTreeDigramIndex {
  public:
@@ -121,10 +124,10 @@ class LegacyTreeDigramIndex {
         requeue.push_back(other.d);
         if (less(other.d, best)) best = other.d;
       }
+      // Every entry goes back, the answer's too: MostFrequent is a
+      // query, and the answer stays stored until it is taken.
       requeue.push_back(top.d);
-      for (const Digram& d : requeue) {
-        if (!(d == best)) PushHeap(d, top.count);
-      }
+      for (const Digram& d : requeue) PushHeap(d, top.count);
       return best;
     }
     return std::nullopt;
@@ -285,35 +288,178 @@ TEST(BucketDigramIndexTest, TakeClearsAndSorts) {
 }
 
 // ---------------------------------------------------------------------
-// Cross-check: both indexes must drive the TreeRePair loop to the
-// exact same grammar (same rules, same fresh-label assignment, same
-// replacement order) on corpus-shaped inputs.
+// Lockstep: the bucket index against the reference index above, through
+// the index API alone. Both see the same seeded sequence of Build, Add,
+// Remove and Take calls on one corpus tree, including whole TreeRePair
+// rounds (Take, then ReplaceDigramNodes between the neighborhood
+// Removes and Adds). After every call, MostFrequent under each option
+// set, the counts of the digrams the call touched and TotalOccurrences
+// must agree, and so must every Take.
 
-class IndexCrossCheckTest : public ::testing::TestWithParam<Corpus> {};
-
-TEST_P(IndexCrossCheckTest, IdenticalGrammars) {
-  XmlTree xml = GenerateCorpus(GetParam(), 0.02);
-  LabelTable labels;
-  Tree bin = EncodeBinary(xml, &labels);
-  for (int max_rank : {2, 4}) {
-    RepairOptions opts;
-    opts.max_rank = max_rank;
-    TreeRepairResult bucket =
-        internal::TreeRePairWithIndex<TreeDigramIndex>(Tree(bin), labels,
-                                                       opts);
-    TreeRepairResult legacy =
-        internal::TreeRePairWithIndex<LegacyTreeDigramIndex>(Tree(bin), labels,
-                                                             opts);
-    EXPECT_EQ(bucket.digrams_replaced, legacy.digrams_replaced);
-    EXPECT_EQ(FormatGrammar(bucket.grammar), FormatGrammar(legacy.grammar))
-        << "grammars diverge on corpus " << InfoFor(GetParam()).name
-        << " with max_rank " << max_rank;
-  }
+// The reference index's lazy heap drops the entries an option set
+// rejects, so it answers MostFrequent for one option set only: the
+// lockstep keeps one reference index per set.
+std::vector<RepairOptions> LockstepOptions() {
+  std::vector<RepairOptions> out(4);
+  out[1].max_rank = 2;
+  out[2].min_count = 1;
+  out[3].max_rank = 1;
+  out[3].min_count = 3;
+  return out;
 }
 
-INSTANTIATE_TEST_SUITE_P(Corpora, IndexCrossCheckTest,
-                         ::testing::Values(Corpus::kExiWeblog, Corpus::kXMark,
-                                           Corpus::kMedline, Corpus::kNcbi));
+class TreeLockstep {
+ public:
+  TreeLockstep(Tree* t, LabelTable* labels)
+      : t_(t), options_(LockstepOptions()), bucket_(labels) {
+    for (size_t k = 0; k < options_.size(); ++k) refs_.emplace_back(labels);
+  }
+
+  void Build() {
+    bucket_.Build(*t_);
+    for (LegacyTreeDigramIndex& r : refs_) r.Build(*t_);
+    Check({});
+  }
+
+  void Add(NodeId v, int child_index) {
+    bucket_.Add(*t_, v, child_index);
+    for (LegacyTreeDigramIndex& r : refs_) r.Add(*t_, v, child_index);
+    Check({EdgeDigram(v, child_index)});
+  }
+
+  void Remove(const Digram& d, NodeId v) {
+    bucket_.Remove(d, v);
+    for (LegacyTreeDigramIndex& r : refs_) r.Remove(d, v);
+    Check({d});
+  }
+
+  std::vector<NodeId> Take(const Digram& d) {
+    std::vector<NodeId> occs = bucket_.Take(d);
+    for (LegacyTreeDigramIndex& r : refs_) {
+      EXPECT_EQ(r.Take(d), occs) << "Take diverges";
+    }
+    Check({d});
+    return occs;
+  }
+
+  std::optional<Digram> MostFrequent() {
+    return bucket_.MostFrequent(options_[0]);
+  }
+
+  // One TreeRePair round of `d`, as the driver runs it.
+  void Replace(const Digram& d, LabelId x) {
+    for (NodeId v : Take(d)) {
+      NodeId w = t_->Child(v, d.child_index);
+      NodeId p = t_->parent(v);
+      if (p != kNilNode) Remove(EdgeDigram(p, t_->ChildIndex(v)), p);
+      int j = 0;
+      for (NodeId c = t_->first_child(v); c != kNilNode;
+           c = t_->next_sibling(c)) {
+        if (++j != d.child_index) Remove(EdgeDigram(v, j), v);
+      }
+      for (int k = 1; k <= t_->NumChildren(w); ++k) {
+        Remove(EdgeDigram(w, k), w);
+      }
+      NodeId x_node = ReplaceDigramNodes(t_, v, d.child_index, x);
+      if (t_->parent(x_node) != kNilNode) {
+        Add(t_->parent(x_node), t_->ChildIndex(x_node));
+      }
+      for (int k = 1; k <= t_->NumChildren(x_node); ++k) Add(x_node, k);
+    }
+  }
+
+  // The count of every edge's digram, not just the touched ones.
+  void CheckAllCounts() {
+    for (NodeId v : t_->Preorder()) {
+      for (int k = 1; k <= t_->NumChildren(v); ++k) Check({EdgeDigram(v, k)});
+    }
+  }
+
+  Digram EdgeDigram(NodeId v, int child_index) const {
+    return Digram{t_->label(v), child_index,
+                  t_->label(t_->Child(v, child_index))};
+  }
+
+ private:
+  void Check(const std::vector<Digram>& touched) {
+    for (size_t k = 0; k < refs_.size(); ++k) {
+      LegacyTreeDigramIndex& r = refs_[k];
+      EXPECT_EQ(bucket_.MostFrequent(options_[k]), r.MostFrequent(options_[k]))
+          << "MostFrequent diverges under option set " << k;
+      EXPECT_EQ(bucket_.TotalOccurrences(), r.TotalOccurrences());
+      for (const Digram& d : touched) {
+        EXPECT_EQ(bucket_.Count(d), r.Count(d))
+            << "count of (" << d.parent_label << "," << d.child_index << ","
+            << d.child_label << ")";
+      }
+    }
+  }
+
+  Tree* t_;
+  std::vector<RepairOptions> options_;
+  TreeDigramIndex bucket_;
+  std::vector<LegacyTreeDigramIndex> refs_;
+};
+
+class TreeIndexLockstepTest : public ::testing::TestWithParam<Corpus> {};
+
+TEST_P(TreeIndexLockstepTest, EveryAnswerMatchesTheReference) {
+  LabelTable labels;
+  Tree t = EncodeBinary(GenerateCorpus(GetParam(), 0.01), &labels);
+  Rng rng(0x5eed0000u + static_cast<uint64_t>(GetParam()));
+  TreeLockstep lock(&t, &labels);
+  lock.Build();
+  std::vector<NodeId> inner;  // nodes with children, refreshed on edits
+  auto refresh = [&] {
+    inner.clear();
+    for (NodeId v : t.Preorder()) {
+      if (t.NumChildren(v) > 0) inner.push_back(v);
+    }
+  };
+  refresh();
+  for (int step = 0; step < 300 && !HasFailure(); ++step) {
+    NodeId v = inner[rng.Below(inner.size())];
+    int k = static_cast<int>(rng.Range(1, t.NumChildren(v)));
+    switch (rng.Below(10)) {
+      case 0:
+      case 1:
+      case 2: {  // a TreeRePair round
+        std::optional<Digram> d = lock.MostFrequent();
+        if (!d) {
+          lock.Build();
+          break;
+        }
+        lock.Replace(*d, labels.Fresh("X", DigramRank(*d, labels)));
+        refresh();
+        break;
+      }
+      case 3:
+      case 4:
+        lock.Remove(lock.EdgeDigram(v, k), v);
+        break;
+      case 5:  // a digram not stored at v: a no-op for both
+        lock.Remove(Digram{t.label(v), k + 1, t.label(v)}, v);
+        break;
+      case 6:
+      case 7:  // out-of-order adds exercise both overlap checks
+        lock.Add(v, k);
+        break;
+      case 8:  // taken occurrences stay out until re-added
+        lock.Take(lock.EdgeDigram(v, k));
+        break;
+      default:
+        if (rng.Chance(0.2)) lock.Build();
+        lock.CheckAllCounts();
+        break;
+    }
+  }
+  lock.CheckAllCounts();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpora, TreeIndexLockstepTest,
+    ::testing::Values(Corpus::kExiWeblog, Corpus::kXMark, Corpus::kMedline,
+                      Corpus::kNcbi, Corpus::kTreebank, Corpus::kExiTelecomp));
 
 }  // namespace
 }  // namespace slg

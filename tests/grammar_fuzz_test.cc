@@ -26,6 +26,7 @@
 #include "src/service/snapshot.h"
 #include "src/xml/binary_encoding.h"
 #include "tests/exponential_grammars.h"
+#include "tests/fuzz_mutate.h"
 
 namespace slg {
 namespace {
@@ -57,97 +58,6 @@ std::vector<std::string> BaseImages() {
       }).take()));
   images.push_back(SerializeGrammar(DoublingGrammar(70)));
   return images;
-}
-
-// Past the magic an image is a sequence of varints — names are ASCII,
-// one single-byte varint per character — so a varint can be rewritten
-// in place while the framing around it stays intact.
-void RewriteVarint(std::string& s, size_t index, std::mt19937& rng) {
-  size_t begin = 4;
-  for (size_t i = 0; begin < s.size(); ++i) {
-    size_t end = begin;
-    uint64_t v = 0;
-    int shift = 0;
-    while (end < s.size()) {
-      uint8_t b = static_cast<uint8_t>(s[end++]);
-      if (shift < 64) v |= static_cast<uint64_t>(b & 0x7f) << shift;
-      shift += 7;
-      if ((b & 0x80) == 0) break;
-    }
-    if (i == index) {
-      // A neighbour (the next label id, an off-by-one count) or any
-      // value up to twice the old one.
-      switch (std::uniform_int_distribution<int>(0, 2)(rng)) {
-        case 0:
-          ++v;
-          break;
-        case 1:
-          v = v == 0 ? 0 : v - 1;
-          break;
-        default:
-          v = std::uniform_int_distribution<uint64_t>(0, 2 * v + 2)(rng);
-      }
-      std::string enc;
-      for (; v >= 0x80; v >>= 7) {
-        enc.push_back(static_cast<char>((v & 0x7f) | 0x80));
-      }
-      enc.push_back(static_cast<char>(v));
-      s.replace(begin, end - begin, enc);
-      return;
-    }
-    begin = end;
-  }
-}
-
-std::string Mutate(std::string s, std::mt19937& rng) {
-  std::uniform_int_distribution<int> byte_d(0, 255);
-  std::uniform_int_distribution<int> op_d(0, 9);
-  std::uniform_int_distribution<int> count_d(1, 3);
-  auto pos = [&](size_t bound) {
-    return std::uniform_int_distribution<size_t>(0, bound)(rng);
-  };
-  // Offsets past the magic, so most mutants reach the decoder proper:
-  // a gap to insert at, or (s.size() > 4) a byte to change.
-  auto gap = [&]() { return s.size() < 4 ? s.size() : 4 + pos(s.size() - 4); };
-  auto byte_at = [&]() { return 4 + pos(s.size() - 5); };
-  auto any_byte = [&]() -> char {
-    // Half small varints (label ids, counts, ranks), half raw bytes.
-    if (byte_d(rng) < 128) return static_cast<char>(pos(15));
-    return static_cast<char>(byte_d(rng));
-  };
-  for (int n = count_d(rng); n > 0; --n) {
-    switch (op_d(rng)) {
-      case 0:  // flip one bit
-        if (!s.empty()) s[pos(s.size() - 1)] ^= static_cast<char>(1 << pos(7));
-        break;
-      case 1:  // insert a byte
-        s.insert(gap(), 1, any_byte());
-        break;
-      case 2:  // delete a byte
-        if (s.size() > 4) s.erase(byte_at(), 1);
-        break;
-      case 3:  // replace a byte
-        if (s.size() > 4) s[byte_at()] = any_byte();
-        break;
-      case 4: {  // duplicate a span
-        if (s.empty()) break;
-        size_t from = pos(s.size() - 1);
-        s.insert(gap(), s.substr(from, 1 + pos(8)));
-        break;
-      }
-      case 5:  // truncate
-        s.resize(pos(s.size()));
-        break;
-      case 6:  // a long varint (a huge count, id or rank)
-        s.insert(gap(), std::string(1 + pos(9), static_cast<char>(0xff)) +
-                            static_cast<char>(pos(127)));
-        break;
-      default:  // rewrite one varint, framing kept
-        if (s.size() > 4) RewriteVarint(s, pos(s.size() - 5), rng);
-        break;
-    }
-  }
-  return s;
 }
 
 // The reads of one accepted image; each must return a Status.
@@ -202,7 +112,7 @@ TEST(GrammarFuzzTest, MutatedImagesYieldAStatus) {
   int accepted = 0;
   for (int i = 0; i < 30000; ++i) {
     const std::string& base = bases[static_cast<size_t>(i) % bases.size()];
-    const std::string image = Mutate(base, rng);
+    const std::string image = Mutate(base, /*header=*/4, rng);
     SCOPED_TRACE("mutant " + std::to_string(i));
     StatusOr<Grammar> g = DeserializeGrammar(image);
     if (!g.ok()) {

@@ -1,9 +1,9 @@
 // The pre-bucket weighted grammar digram index (unordered_set of
-// generators per digram + lazy max-heap of count snapshots), kept
-// verbatim as the semantic baseline the bucketed rewrite must match
-// grammar-for-grammar. Shared by the cross-check tests for the full
-// (batch_update_test.cc) and damage-localized (localized_repair_test.cc)
-// GrammarRePair drivers. Test-only: never linked into the library.
+// generators per digram + lazy max-heap of count snapshots), kept as
+// the reference the bucketed GrammarDigramIndex must match answer for
+// answer. Its user is GrammarIndexLockstepTest (retrieve_occs_test.cc),
+// which drives both indexes through the same seeded calls and compares
+// them after each. Test-only: never linked into the library.
 
 #ifndef SLG_TESTS_LEGACY_GRAMMAR_INDEX_H_
 #define SLG_TESTS_LEGACY_GRAMMAR_INDEX_H_
@@ -23,12 +23,6 @@
 #include "src/repair/repair_options.h"
 
 namespace slg {
-
-// ---------------------------------------------------------------------
-// Reference implementation: the pre-bucket weighted grammar index
-// (unordered_set of generators per digram + lazy max-heap of count
-// snapshots), kept verbatim as the semantic baseline the rewrite must
-// match grammar-for-grammar.
 
 class LegacyGrammarDigramIndex {
  public:
@@ -154,10 +148,14 @@ class LegacyGrammarDigramIndex {
     if (it == by_rule_.end()) return;
     uint64_t old_usage = it->second.scan_usage;
     if (old_usage == new_usage) return;
+    // A generator removed and added again is listed twice (the list is
+    // compacted lazily); it is stored once and adjusted once.
+    std::unordered_set<NodeId> adjusted;
     for (const auto& [d, node] : it->second.occs) {
       auto dit = table_.find(d);
       if (dit == table_.end()) continue;
       if (dit->second.generators.count(RuleNode{rule, node}) == 0) continue;
+      if (!adjusted.insert(node).second) continue;
       uint64_t& c = dit->second.weighted_count;
       c = c >= old_usage ? c - old_usage : 0;
       c = UsageSatAdd(c, new_usage);
@@ -217,10 +215,10 @@ class LegacyGrammarDigramIndex {
         requeue.push_back(other.d);
         if (DigramLess(other.d, best)) best = other.d;
       }
+      // Every entry goes back, the answer's too: MostFrequent is a
+      // query, and the answer stays stored until it is taken.
       requeue.push_back(top.d);
-      for (const Digram& d : requeue) {
-        if (!(d == best)) PushHeap(d, top.count);
-      }
+      for (const Digram& d : requeue) PushHeap(d, top.count);
       return best;
     }
     return std::nullopt;

@@ -3,9 +3,6 @@
 //  * after every localized checkpoint repair the grammar validates and
 //    round-trips byte-identically (vs a plain-tree replay of the same
 //    workload) on all 6 corpora;
-//  * the localized driver produces byte-identical grammars under the
-//    bucketed and the legacy digram index (same seam as the full
-//    driver's cross-check);
 //  * localized final sizes stay within 3% of a full GrammarRePair at
 //    the same checkpoints;
 //  * the adaptive trigger is deterministic: same grammar + workload
@@ -18,15 +15,10 @@
 #include <string>
 #include <vector>
 
-#include "tests/legacy_grammar_index.h"
-
 #include "src/core/grammar_repair.h"
-#include "src/core/grammar_repair_impl.h"
-#include "src/core/retrieve_occs.h"
 #include "src/datasets/generators.h"
 #include "src/grammar/binary_format.h"
 #include "src/grammar/stats.h"
-#include "src/grammar/text_format.h"
 #include "src/grammar/validate.h"
 #include "src/grammar/value.h"
 #include "src/repair/tree_repair.h"
@@ -151,52 +143,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Corpus::kExiWeblog, Corpus::kXMark,
                       Corpus::kExiTelecomp, Corpus::kTreebank,
                       Corpus::kMedline, Corpus::kNcbi),
-    [](const ::testing::TestParamInfo<Corpus>& info) {
-      std::string n = InfoFor(info.param).name;
-      for (char& c : n) {
-        if (c == '-') c = '_';
-      }
-      return n;
-    });
-
-// --- bucketed vs legacy index through the localized driver ------------
-
-class LocalizedIndexCrossCheckTest : public ::testing::TestWithParam<Corpus> {
-};
-
-TEST_P(LocalizedIndexCrossCheckTest, IndexesProduceIdenticalGrammars) {
-  CorpusFixture f = MakeFixture(GetParam(), 0.03, 120, 0.1, 5);
-  Grammar damaged = std::move(f.seed_grammar);
-  std::vector<LabelId> damage;
-  {
-    BatchUpdater batch(&damaged);
-    for (const UpdateOp& op : f.workload.ops) {
-      ASSERT_TRUE(batch.Apply(op).ok());
-    }
-    batch.Finish();
-    damage = batch.DamagedRules();
-  }
-  for (CountingMode mode :
-       {CountingMode::kIncremental, CountingMode::kRecount}) {
-    GrammarRepairOptions opts = Recompress();
-    opts.counting = mode;
-    GrammarRepairResult bucketed =
-        internal::LocalizedGrammarRePairWithIndex<GrammarDigramIndex>(
-            damaged.Clone(), damage, opts);
-    GrammarRepairResult legacy =
-        internal::LocalizedGrammarRePairWithIndex<LegacyGrammarDigramIndex>(
-            damaged.Clone(), damage, opts);
-    ASSERT_TRUE(Validate(bucketed.grammar).ok());
-    EXPECT_EQ(bucketed.rounds, legacy.rounds);
-    EXPECT_EQ(FormatGrammar(bucketed.grammar), FormatGrammar(legacy.grammar))
-        << InfoFor(GetParam()).name;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    All, LocalizedIndexCrossCheckTest,
-    ::testing::Values(Corpus::kExiWeblog, Corpus::kXMark, Corpus::kMedline,
-                      Corpus::kNcbi),
     [](const ::testing::TestParamInfo<Corpus>& info) {
       std::string n = InfoFor(info.param).name;
       for (char& c : n) {

@@ -23,8 +23,10 @@
 
 #include "src/core/grammar_repair.h"
 #include "src/datasets/generators.h"
+#include "src/grammar/binary_format.h"
 #include "src/grammar/rule_index.h"
 #include "src/grammar/text_format.h"
+#include "src/grammar/validate.h"
 #include "src/grammar/value.h"
 #include "src/service/document_service.h"
 #include "src/workload/update_workload.h"
@@ -322,6 +324,38 @@ TEST(QueryEngineTest, ParameterizedSiblingGrammar) {
 
 TEST(QueryEngineTest, ParameterizedChainGrammar) {
   DifferentialSweep(ParameterizedChainGrammar(6), 30, 13);
+}
+
+// A document is a binary tree, and how its grammar is factored must
+// not change an answer. A terminal of rank 3 broke that: the engine
+// gives a terminal's third child no context, while a call it prunes
+// hands every argument the call's own, so count(//k) was 0 on the
+// first wide grammar below and 1 on the second. Served grammars are
+// refused such terminals at every boundary that adopts a grammar.
+TEST(QueryEngineTest, AnswersDoNotDependOnTheFactoring) {
+  const std::vector<std::vector<std::string>> binary = {
+      {"S -> r(t(~,k(~,~)),~)"},
+      {"S -> r(B(k(~,~)),~)", "B -> t(~,$1)"},
+  };
+  for (const std::vector<std::string>& rules : binary) {
+    Grammar g = GrammarFromRules(rules).take();
+    ASSERT_TRUE(ValidateDocument(g).ok());
+    StatusOr<QueryResult> r =
+        GrammarSnapshot::Make(std::move(g))->RunQuery("count(//k)");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().count, 1) << rules.size() << " rule(s)";
+  }
+  const std::vector<std::vector<std::string>> wide = {
+      {"S -> r(t(~,~,k(~,~)),~)"},
+      {"S -> r(B(k(~,~)),~)", "B -> t(~,~,$1)"},
+  };
+  for (const std::vector<std::string>& rules : wide) {
+    Grammar g = GrammarFromRules(rules).take();
+    EXPECT_EQ(DeserializeGrammar(SerializeGrammar(g)).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(DocumentService::FromGrammar(g.Clone()).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
 }
 
 TEST(QueryEngineTest, MemoizationBeatsDocumentSize) {

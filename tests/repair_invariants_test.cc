@@ -9,21 +9,14 @@
 //    order,
 //  * caller adjacency, refcounts, skeletons and resolved interfaces.
 // On top of that, the tests verify the checks are side-effect free
-// (identical grammars with and without them) and that the round /
-// rescan counters are deterministic across digram-index
-// implementations — the guard that keeps every per-round sweep
-// damage-proportional rather than O(#rules).
+// (identical grammars with and without them).
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "tests/legacy_grammar_index.h"
-
 #include "src/core/grammar_repair.h"
-#include "src/core/grammar_repair_impl.h"
-#include "src/core/retrieve_occs.h"
 #include "src/datasets/generators.h"
 #include "src/grammar/stats.h"
 #include "src/grammar/text_format.h"
@@ -122,26 +115,6 @@ TEST_P(RepairInvariantsTest, LocalizedDriverInvariantsHold) {
       }
     }
   }
-}
-
-// The round and rescan counters must be identical under the bucketed
-// and the legacy digram index: they are a function of the damage and
-// the cache state only, never of index internals. This is the
-// regression gate for "a sweep quietly became O(#rules)".
-TEST_P(RepairInvariantsTest, CountersMatchAcrossIndexImplementations) {
-  CorpusFixture f = MakeFixture(GetParam(), 0.02, 60, 17);
-  Grammar g = std::move(f.seed_grammar);
-  std::vector<LabelId> damage = ApplyBatch(&g, f.workload, 0, 60);
-  GrammarRepairOptions opts = Recompress();
-  GrammarRepairResult bucketed = internal::LocalizedGrammarRePairWithIndex<
-      GrammarDigramIndex>(g.Clone(), damage, opts);
-  GrammarRepairResult legacy =
-      internal::LocalizedGrammarRePairWithIndex<LegacyGrammarDigramIndex>(
-          g.Clone(), damage, opts);
-  EXPECT_EQ(FormatGrammar(bucketed.grammar), FormatGrammar(legacy.grammar));
-  EXPECT_EQ(bucketed.rounds, legacy.rounds);
-  EXPECT_EQ(bucketed.rules_rescanned, legacy.rules_rescanned);
-  EXPECT_GT(bucketed.rules_rescanned, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
