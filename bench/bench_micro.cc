@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/api/options.h"
 #include "src/bench_util/reporting.h"
 #include "src/core/call_graph_cache.h"
 #include "src/core/cursor.h"
@@ -26,6 +27,7 @@
 #include "src/grammar/value.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/repair/pruning.h"
 #include "src/repair/tree_repair.h"
 #include "src/service/document_service.h"
 #include "src/service/snapshot.h"
@@ -178,15 +180,11 @@ void BM_CursorSiblingScan(benchmark::State& state) {
 }
 BENCHMARK(BM_CursorSiblingScan);
 
-// GrammarSnapshot::Make on an ingested document: the one RuleIndex
-// build every snapshot made from scratch pays (ingest, recovery, the
-// unseeded updater). Treebank 0.25 and medline 0.5, the grammars the
-// lifecycle benchmark serves; the grammar clone and the old
-// snapshot's release are untimed.
-void BM_SnapshotBuild(benchmark::State& state) {
+// The documents the lifecycle benchmark serves, ingested once each:
+// treebank 0.25 (which == 0) and medline 0.5 (which == 1).
+const GrammarSnapshot& ServedSnapshot(int which) {
   static std::map<int, std::shared_ptr<const GrammarSnapshot>>* docs =
       new std::map<int, std::shared_ptr<const GrammarSnapshot>>();
-  const int which = static_cast<int>(state.range(0));
   auto [it, fresh] = docs->try_emplace(which);
   if (fresh) {
     XmlTree xml = which == 0 ? GenerateCorpus(Corpus::kTreebank, 0.25)
@@ -195,7 +193,21 @@ void BM_SnapshotBuild(benchmark::State& state) {
     opts.num_shards = 1;
     it->second = CompressXmlToSnapshot(WriteXml(xml, {}), opts).take();
   }
-  const Grammar& g = it->second->grammar();
+  return *it->second;
+}
+
+const char* ServedLabel(int which) {
+  return which == 0 ? "treebank 0.25" : "medline 0.5";
+}
+
+// GrammarSnapshot::Make on an ingested document: the one RuleIndex
+// build every snapshot made from scratch pays (ingest, recovery, the
+// unseeded updater). The grammar clone and the old snapshot's release
+// are untimed.
+void BM_SnapshotBuild(benchmark::State& state) {
+  const int which = static_cast<int>(state.range(0));
+  const GrammarSnapshot& served = ServedSnapshot(which);
+  const Grammar& g = served.grammar();
   std::shared_ptr<const GrammarSnapshot> snap;
   for (auto _ : state) {
     state.PauseTiming();
@@ -205,11 +217,46 @@ void BM_SnapshotBuild(benchmark::State& state) {
     snap = GrammarSnapshot::Make(std::move(clone));
     benchmark::DoNotOptimize(snap->edges());
   }
-  state.SetLabel(which == 0 ? "treebank 0.25" : "medline 0.5");
+  state.SetLabel(ServedLabel(which));
   state.counters["rules"] = g.RuleCount();
-  state.counters["edges"] = static_cast<double>(it->second->edges());
+  state.counters["edges"] = static_cast<double>(served.edges());
 }
 BENCHMARK(BM_SnapshotBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The pruning phase that closes every merge: Prune on the output of a
+// LocalizedGrammarRePair of a served document (service repair options,
+// every rule seeded) run with pruning off. Each iteration prunes a
+// copy whose bodies it owns, as the merge's are; the copy is untimed.
+// `inlines` counts the rules inlined away and `host_walks` the host
+// bodies walked to find call sites: the call-site book walks a host
+// only to restore a call list's preorder, not once per inline.
+void BM_Prune(benchmark::State& state) {
+  const int which = static_cast<int>(state.range(0));
+  static std::map<int, Grammar>* unpruned = new std::map<int, Grammar>();
+  auto [it, fresh] = unpruned->try_emplace(which);
+  if (fresh) {
+    const Grammar& served = ServedSnapshot(which).grammar();
+    GrammarRepairOptions opts = UpdateOptions().repair;
+    opts.repair.prune = false;
+    it->second =
+        LocalizedGrammarRePair(served.Clone(), served.Nonterminals(), opts)
+            .grammar;
+  }
+  PruneStats stats;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Grammar g = it->second.Clone();
+    for (LabelId r : g.Nonterminals()) g.mutable_rhs(r);
+    state.ResumeTiming();
+    stats = Prune(&g);
+    benchmark::DoNotOptimize(g.RuleCount());
+  }
+  state.SetLabel(ServedLabel(which));
+  state.counters["rules"] = it->second.RuleCount();
+  state.counters["inlines"] = static_cast<double>(stats.inlines);
+  state.counters["host_walks"] = static_cast<double>(stats.host_walks);
+}
+BENCHMARK(BM_Prune)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_PathIsolation(benchmark::State& state) {
   CompressedFixture& f = CompressedFixture::Get();

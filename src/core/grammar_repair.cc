@@ -49,7 +49,6 @@
 #include "src/core/repair_hooks.h"
 #include "src/core/replacement.h"
 #include "src/core/retrieve_occs.h"
-#include "src/core/tree_links.h"
 #include "src/grammar/stats.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -135,24 +134,17 @@ int64_t ReplacePureLocalGens(Grammar& g, GrammarDigramIndex& index,
   for (NodeId w : local_gens) {
     NodeId v = ts.parent(w);
     // Remove the stored occurrences adjacent to (v, w): the edge into
-    // v, v's other child edges, and w's child edges.
-    auto remove_computed = [&](NodeId gen_node) {
-      RuleNode rn{start, gen_node};
-      TreeParentResult tp = TreeParentOf(g, rn);
-      RuleNode tc = TreeChildOf(g, rn);
-      Digram dig{g.rhs(tp.parent.rule).label(tp.parent.node), tp.child_index,
-                 g.rhs(tc.rule).label(tc.node)};
-      index.RemoveGenerator(dig, rn);
-    };
-    if (ts.parent(v) != kNilNode) remove_computed(v);
+    // v, v's other child edges, and w's child edges. Each is stored at
+    // its generator node, so no digram needs re-deriving.
+    if (ts.parent(v) != kNilNode) index.RemoveGeneratorAt(RuleNode{start, v});
     int j = 0;
     for (NodeId c = ts.first_child(v); c != kNilNode; c = ts.next_sibling(c)) {
       ++j;
       if (j == d.child_index) continue;
-      remove_computed(c);
+      index.RemoveGeneratorAt(RuleNode{start, c});
     }
     for (NodeId c = ts.first_child(w); c != kNilNode; c = ts.next_sibling(c)) {
-      remove_computed(c);
+      index.RemoveGeneratorAt(RuleNode{start, c});
     }
     bool was_root = v == ts.root();
     NodeId x_node = ReplaceDigramNodes(&ts, v, d.child_index, x);

@@ -165,7 +165,7 @@ class Engine {
         NodeId root = t.root();
         if (g_->IsNonterminal(t.label(root))) AddFlag(&cs[root], 0);
       } else {
-        NodeId pv = FindParamNodeInTree(t, flag);
+        NodeId pv = FindParamNode(t, g_->labels(), flag);
         NodeId q = t.parent(pv);
         if (g_->IsNonterminal(t.label(q))) {
           AddFlag(&cs[q], t.ChildIndex(pv));
@@ -173,18 +173,6 @@ class Engine {
       }
     }
     return cs;
-  }
-
-  NodeId FindParamNodeInTree(const Tree& t, int index) {
-    NodeId found = kNilNode;
-    const LabelTable& labels = g_->labels();
-    t.VisitPreorder(t.root(), [&](NodeId v) {
-      if (found == kNilNode && labels.ParamIndex(t.label(v)) == index) {
-        found = v;
-      }
-    });
-    SLG_CHECK(found != kNilNode);
-    return found;
   }
 
   // ---- optimized mode (Algorithms 6-8) ----------------------------------
@@ -241,7 +229,7 @@ class Engine {
         if (flag == 0) {
           marked.insert(t.root());
         } else {
-          marked.insert(t.parent(FindParamNodeInTree(t, flag)));
+          marked.insert(t.parent(FindParamNode(t, g_->labels(), flag)));
         }
       }
       if (!marked.empty()) {

@@ -17,17 +17,23 @@ RuleNode TreeChildOf(const Grammar& g, RuleNode rn) {
   }
 }
 
-NodeId FindParamNode(const Grammar& g, LabelId r, int index) {
-  const Tree& t = g.rhs(r);
-  const LabelTable& labels = g.labels();
-  NodeId found = kNilNode;
-  t.VisitPreorder(t.root(), [&](NodeId v) {
-    if (found == kNilNode && labels.ParamIndex(t.label(v)) == index) {
-      found = v;
+NodeId FindParamNode(const Tree& t, const LabelTable& labels, int index) {
+  const NodeId root = t.root();
+  NodeId v = root;
+  for (;;) {
+    if (labels.ParamIndex(t.label(v)) == index) return v;
+    if (t.first_child(v) != kNilNode) {
+      v = t.first_child(v);
+      continue;
     }
-  });
-  SLG_CHECK_MSG(found != kNilNode, "rule does not contain the parameter");
-  return found;
+    while (v != root && t.next_sibling(v) == kNilNode) v = t.parent(v);
+    SLG_CHECK_MSG(v != root, "rule does not contain the parameter");
+    v = t.next_sibling(v);
+  }
+}
+
+NodeId FindParamNode(const Grammar& g, LabelId r, int index) {
+  return FindParamNode(g.rhs(r), g.labels(), index);
 }
 
 TreeParentResult TreeParentOf(const Grammar& g, RuleNode rn) {

@@ -35,7 +35,11 @@ struct TreeParentResult {
 // index. `node` must not be the root of its rule.
 TreeParentResult TreeParentOf(const Grammar& g, RuleNode rn);
 
-// Locates the parameter node y<index> in rule r's right-hand side.
+// Locates the parameter node y<index> in `t`, a rule body over
+// `labels`: a preorder walk that stops at the parameter.
+NodeId FindParamNode(const Tree& t, const LabelTable& labels, int index);
+
+// The same in rule r's right-hand side.
 NodeId FindParamNode(const Grammar& g, LabelId r, int index);
 
 // "Interface" of a rule as seen from digram scans in other rules: the

@@ -1,6 +1,5 @@
 #include "src/grammar/inliner.h"
 
-#include <utility>
 #include <vector>
 
 namespace slg {
@@ -68,41 +67,6 @@ NodeId InlineCall(const Grammar& g, Tree* host, NodeId call,
   LabelId q = host->label(call);
   SLG_CHECK_MSG(g.HasRule(q), "inlining a label that has no rule");
   return InlineCall(g, host, call, g.rhs(q), new_calls);
-}
-
-namespace {
-
-void InlineIntoHosts(Grammar* g, LabelId q, const Tree& body,
-                     const std::vector<LabelId>& hosts) {
-  for (LabelId r : hosts) {
-    if (!g->HasRule(r)) continue;
-    // Collect call sites first (inlining invalidates traversal), on the
-    // read-only body: a host without calls stays shared.
-    const Tree& scan = g->rhs(r);
-    std::vector<NodeId> calls;
-    scan.VisitPreorder(scan.root(), [&](NodeId v) {
-      if (scan.label(v) == q) calls.push_back(v);
-    });
-    if (calls.empty()) continue;
-    Tree& host = g->mutable_rhs(r);
-    for (NodeId call : calls) InlineCall(*g, &host, call, body);
-  }
-}
-
-}  // namespace
-
-void InlineEverywhereAndRemove(Grammar* g, LabelId q) {
-  // Move the body out first: the host may be scanned while we mutate.
-  Tree body = std::move(g->mutable_rhs(q));
-  g->RemoveRule(q);
-  InlineIntoHosts(g, q, body, g->Nonterminals());
-}
-
-void InlineEverywhereAndRemove(Grammar* g, LabelId q,
-                               const std::vector<LabelId>& hosts) {
-  Tree body = std::move(g->mutable_rhs(q));
-  g->RemoveRule(q);
-  InlineIntoHosts(g, q, body, hosts);
 }
 
 }  // namespace slg

@@ -19,23 +19,15 @@ namespace slg {
 // Replaces `call` in `host` with an instantiated copy of `body`.
 // Returns the root of the inlined copy. If `new_calls` is non-null,
 // every node of the copied body whose label is a nonterminal of `g` is
-// appended to it (argument subtrees are NOT rescanned: their call nodes
-// existed in `host` before and keep their NodeIds).
+// appended to it, in the body's preorder (argument subtrees are NOT
+// rescanned: their call nodes existed in `host` before and keep their
+// NodeIds).
 NodeId InlineCall(const Grammar& g, Tree* host, NodeId call,
                   const Tree& body, std::vector<NodeId>* new_calls = nullptr);
 
 // Convenience: inline g's rule for the label of `call`.
 NodeId InlineCall(const Grammar& g, Tree* host, NodeId call,
                   std::vector<NodeId>* new_calls = nullptr);
-
-// Inlines every occurrence of nonterminal Q in the whole grammar and
-// removes Q's rule. Used by pruning. The `hosts` overload scans only
-// the given rules for call sites — the caller guarantees every
-// occurrence of Q lives in one of them (the pruner maintains exact
-// caller sets, so it never pays a whole-grammar scan per removal).
-void InlineEverywhereAndRemove(Grammar* g, LabelId q);
-void InlineEverywhereAndRemove(Grammar* g, LabelId q,
-                               const std::vector<LabelId>& hosts);
 
 }  // namespace slg
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/grammar/inliner.h"
 #include "src/grammar/orders.h"
 #include "src/grammar/rule_index.h"
@@ -145,15 +148,32 @@ TEST(InlinerTest, InlineMatchesDerivationStep) {
             "f(a(~,a(a(~,a(~,~)),a(~,a(~,~)))),~)");
 }
 
-TEST(InlinerTest, InlineEverywhereAndRemove) {
+TEST(InlinerTest, InlineEveryCallThenRemoveRule) {
+  // Inline B at each of its calls from its moved-out body, as the
+  // pruner does, then drop its rule: val(G) is unchanged and each copy
+  // reports the call of A it brought in.
   Grammar g = PaperGrammar();
   Tree before = Value(g).take();
+  LabelId a = g.labels().Find("A");
   LabelId b = g.labels().Find("B");
-  InlineEverywhereAndRemove(&g, b);
+  Tree body = std::move(g.mutable_rhs(b));
+  g.RemoveRule(b);
+  Tree& s = g.mutable_rhs(g.start());
+  std::vector<NodeId> calls;
+  s.VisitPreorder(s.root(), [&](NodeId v) {
+    if (s.label(v) == b) calls.push_back(v);
+  });
+  ASSERT_EQ(calls.size(), 2u);
+  for (NodeId call : calls) {
+    std::vector<NodeId> copied;
+    InlineCall(g, &s, call, body, &copied);
+    ASSERT_EQ(copied.size(), 1u);
+    EXPECT_EQ(s.label(copied[0]), a);
+  }
   EXPECT_FALSE(g.HasRule(b));
+  EXPECT_EQ(ToTerm(s, g.labels()), "f(A(A(~,~),A(~,~)),~)");
   ASSERT_TRUE(Validate(g).ok());
-  Tree after = Value(g).take();
-  EXPECT_TRUE(TreeEquals(before, after));
+  EXPECT_TRUE(TreeEquals(before, Value(g).take()));
 }
 
 TEST(OrdersTest, AntiSlOrderIsCalleesFirst) {
