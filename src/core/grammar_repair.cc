@@ -404,7 +404,7 @@ GrammarRepairResult GrammarRePair(Grammar grammar,
   run.result.rules_rescanned += g.RuleCount();
   run.RecordSize();
 
-  while (auto d = run.index.MostFrequent(g.labels(), options.repair)) {
+  while (auto d = run.index.MostFrequent(options.repair)) {
     obs::TraceSpan round_span("repair.round");
     std::optional<ReplacementResult> rr = run.ReplaceRound(*d, nullptr);
     if (!rr) continue;
@@ -492,7 +492,7 @@ GrammarRepairResult LocalizedGrammarRePair(
   StartDeltaHooks hooks(&g, &run.index, start, &callsites);
   run.RecordSize();
 
-  while (auto d = run.index.MostFrequent(g.labels(), options.repair)) {
+  while (auto d = run.index.MostFrequent(options.repair)) {
     obs::TraceSpan round_span("repair.round");
     // Unshared up front: the refresh below reads ts after this round's
     // edits of the start rule.

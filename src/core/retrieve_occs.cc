@@ -16,17 +16,9 @@ void GrammarDigramIndex::Build(
 void GrammarDigramIndex::Build(const Grammar& g,
                                const std::vector<uint64_t>& usage,
                                const std::vector<LabelId>& anti_sl_order) {
-  digrams_.clear();
-  slots_.clear();
-  slot_count_ = 0;
-  occs_.clear();
-  occ_free_.clear();
+  table_.Clear();
   books_.clear();
   books_.resize(static_cast<size_t>(g.labels().size()));
-  buckets_.clear();
-  overflow_head_ = kNil;
-  max_count_ = 0;
-  total_ = 0;
   for (LabelId r : anti_sl_order) {
     ScanRule(g, r, usage[static_cast<size_t>(r)]);
   }
@@ -40,52 +32,6 @@ void GrammarDigramIndex::RescanRules(const Grammar& g,
   }
 }
 
-GrammarDigramIndex::DigramId GrammarDigramIndex::Find(const Digram& d) const {
-  if (slots_.empty()) return kNil;
-  size_t mask = slots_.size() - 1;
-  size_t pos = DigramHash()(d) & mask;
-  for (;;) {
-    int32_t s = slots_[pos];
-    if (s == 0) return kNil;
-    DigramId id = s - 1;
-    if (digrams_[static_cast<size_t>(id)].key == d) return id;
-    pos = (pos + 1) & mask;
-  }
-}
-
-void GrammarDigramIndex::GrowSlots() {
-  size_t cap = slots_.empty() ? 64 : slots_.size() * 2;
-  slots_.assign(cap, 0);
-  size_t mask = cap - 1;
-  for (size_t id = 0; id < digrams_.size(); ++id) {
-    size_t pos = DigramHash()(digrams_[id].key) & mask;
-    while (slots_[pos] != 0) pos = (pos + 1) & mask;
-    slots_[pos] = static_cast<int32_t>(id) + 1;
-  }
-}
-
-GrammarDigramIndex::DigramId GrammarDigramIndex::Intern(
-    const Digram& d, const LabelTable& labels) {
-  if (slots_.empty() || slot_count_ * 10 >= slots_.size() * 7) GrowSlots();
-  size_t mask = slots_.size() - 1;
-  size_t pos = DigramHash()(d) & mask;
-  for (;;) {
-    int32_t s = slots_[pos];
-    if (s == 0) break;
-    DigramId id = s - 1;
-    if (digrams_[static_cast<size_t>(id)].key == d) return id;
-    pos = (pos + 1) & mask;
-  }
-  DigramId id = static_cast<DigramId>(digrams_.size());
-  DigramInfo info;
-  info.key = d;
-  info.rank = DigramRank(d, labels);
-  digrams_.push_back(info);
-  slots_[pos] = id + 1;
-  ++slot_count_;
-  return id;
-}
-
 GrammarDigramIndex::RuleBook& GrammarDigramIndex::BookFor(LabelId rule) {
   if (static_cast<size_t>(rule) >= books_.size()) {
     books_.resize(static_cast<size_t>(rule) + 1);
@@ -93,76 +39,23 @@ GrammarDigramIndex::RuleBook& GrammarDigramIndex::BookFor(LabelId rule) {
   return books_[static_cast<size_t>(rule)];
 }
 
-GrammarDigramIndex::OccId GrammarDigramIndex::OccOf(RuleNode rn) const {
-  if (static_cast<size_t>(rn.rule) >= books_.size()) return kNil;
+OccId GrammarDigramIndex::OccOf(RuleNode rn) const {
+  if (static_cast<size_t>(rn.rule) >= books_.size()) return kNilId;
   const RuleBook& book = books_[static_cast<size_t>(rn.rule)];
-  if (static_cast<size_t>(rn.node) >= book.node_occ.size()) return kNil;
+  if (static_cast<size_t>(rn.node) >= book.node_occ.size()) return kNilId;
   return book.node_occ[static_cast<size_t>(rn.node)];
 }
 
-void GrammarDigramIndex::UnlinkDigram(OccId o) {
-  const Occ& occ = occs_[static_cast<size_t>(o)];
-  if (occ.dprev != kNil) {
-    occs_[static_cast<size_t>(occ.dprev)].dnext = occ.dnext;
-  } else {
-    digrams_[static_cast<size_t>(occ.digram)].occ_head = occ.dnext;
-  }
-  if (occ.dnext != kNil) occs_[static_cast<size_t>(occ.dnext)].dprev = occ.dprev;
-}
-
 void GrammarDigramIndex::UnlinkRule(OccId o) {
-  const Occ& occ = occs_[static_cast<size_t>(o)];
+  const Occ& occ = table_.occ(o);
   RuleBook& book = books_[static_cast<size_t>(occ.rule)];
-  if (occ.rprev != kNil) {
-    occs_[static_cast<size_t>(occ.rprev)].rnext = occ.rnext;
+  if (occ.rprev != kNilId) {
+    table_.occ(occ.rprev).rnext = occ.rnext;
   } else {
     book.head = occ.rnext;
   }
-  if (occ.rnext != kNil) occs_[static_cast<size_t>(occ.rnext)].rprev = occ.rprev;
-  book.node_occ[static_cast<size_t>(occ.node)] = kNil;
-}
-
-void GrammarDigramIndex::FreeOcc(OccId o) {
-  occs_[static_cast<size_t>(o)] = Occ{};
-  occ_free_.push_back(o);
-}
-
-void GrammarDigramIndex::SetCount(DigramId id, uint64_t count) {
-  DigramInfo& info = digrams_[static_cast<size_t>(id)];
-  if (info.count > 0) {
-    // Unlink from the old bucket / overflow list.
-    if (info.bucket_prev != kNil) {
-      digrams_[static_cast<size_t>(info.bucket_prev)].bucket_next =
-          info.bucket_next;
-    } else if (info.count > kBucketCap) {
-      overflow_head_ = info.bucket_next;
-    } else {
-      buckets_[static_cast<size_t>(info.count)] = info.bucket_next;
-    }
-    if (info.bucket_next != kNil) {
-      digrams_[static_cast<size_t>(info.bucket_next)].bucket_prev =
-          info.bucket_prev;
-    }
-    info.bucket_prev = info.bucket_next = kNil;
-  }
-  info.count = count;
-  if (count == 0) return;
-  if (count > kBucketCap) {
-    info.bucket_next = overflow_head_;
-    if (overflow_head_ != kNil) {
-      digrams_[static_cast<size_t>(overflow_head_)].bucket_prev = id;
-    }
-    overflow_head_ = id;
-    return;
-  }
-  if (static_cast<size_t>(count) >= buckets_.size()) {
-    buckets_.resize(static_cast<size_t>(count) + 1, kNil);
-  }
-  DigramId head = buckets_[static_cast<size_t>(count)];
-  info.bucket_next = head;
-  if (head != kNil) digrams_[static_cast<size_t>(head)].bucket_prev = id;
-  buckets_[static_cast<size_t>(count)] = id;
-  if (count > max_count_) max_count_ = count;
+  if (occ.rnext != kNilId) table_.occ(occ.rnext).rprev = occ.rprev;
+  book.node_occ[static_cast<size_t>(occ.node)] = kNilId;
 }
 
 void GrammarDigramIndex::AddGenerator(const Grammar& g, RuleNode gen,
@@ -176,95 +69,55 @@ void GrammarDigramIndex::AddGenerator(const Grammar& g, RuleNode gen,
   LabelId a = g.rhs(tp.parent.rule).label(tp.parent.node);
   LabelId b = g.rhs(tc.rule).label(tc.node);
   Digram alpha{a, tp.child_index, b};
-  DigramId id = Intern(alpha, g.labels());
+  DigramId id = table_.Intern(alpha, g.labels());
   if (a == b) {
     // Equal labels: only terminal generators, and only if the tree
     // parent is not already a stored generator of the same digram.
     if (g.IsNonterminal(l)) return;
     OccId up = OccOf(tp.parent);
-    if (up != kNil && occs_[static_cast<size_t>(up)].digram == id) return;
+    if (up != kNilId && table_.occ(up).digram == id) return;
     // Downward overlap: the occurrence below (this node as tree
     // parent) may already be stored — possible only for
     // out-of-preorder delta additions (§IV-C), never during a scan.
     NodeId ci = t.Child(gen.node, alpha.child_index);
     if (ci != kNilNode && t.label(ci) == b) {
       OccId down = OccOf(RuleNode{gen.rule, ci});
-      if (down != kNil && occs_[static_cast<size_t>(down)].digram == id) {
-        return;
-      }
+      if (down != kNilId && table_.occ(down).digram == id) return;
     }
   }
   RuleBook& book = BookFor(gen.rule);
   if (static_cast<size_t>(gen.node) >= book.node_occ.size()) {
-    book.node_occ.resize(static_cast<size_t>(gen.node) + 1, kNil);
+    book.node_occ.resize(static_cast<size_t>(gen.node) + 1, kNilId);
   }
   OccId& slot = book.node_occ[static_cast<size_t>(gen.node)];
-  if (slot != kNil) {
+  if (slot != kNilId) {
     // A generator stores at most one occurrence; re-adding it is a
     // no-op (and the remove-before-restructure protocol guarantees a
     // stored occurrence always matches the current structure).
-    SLG_DCHECK(occs_[static_cast<size_t>(slot)].digram == id);
+    SLG_DCHECK(table_.occ(slot).digram == id);
     return;
   }
-  OccId o;
-  if (!occ_free_.empty()) {
-    o = occ_free_.back();
-    occ_free_.pop_back();
-  } else {
-    o = static_cast<OccId>(occs_.size());
-    occs_.emplace_back();
-  }
-  Occ& occ = occs_[static_cast<size_t>(o)];
-  occ.digram = id;
+  OccId o = table_.AddOcc(id, usage);
+  Occ& occ = table_.occ(o);
   occ.rule = gen.rule;
   occ.node = gen.node;
-  DigramInfo& info = digrams_[static_cast<size_t>(id)];
-  occ.dprev = kNil;
-  occ.dnext = info.occ_head;
-  if (info.occ_head != kNil) {
-    occs_[static_cast<size_t>(info.occ_head)].dprev = o;
-  }
-  info.occ_head = o;
-  occ.rprev = kNil;
   occ.rnext = book.head;
-  if (book.head != kNil) occs_[static_cast<size_t>(book.head)].rprev = o;
+  if (book.head != kNilId) table_.occ(book.head).rprev = o;
   book.head = o;
   slot = o;
-  ++total_;
-  SetCount(id, UsageSatAdd(info.count, usage));
 }
 
 void GrammarDigramIndex::RemoveGeneratorAt(RuleNode gen) {
   OccId o = OccOf(gen);
-  if (o == kNil) return;
-  DigramId id = occs_[static_cast<size_t>(o)].digram;
-  UnlinkDigram(o);
+  if (o == kNilId) return;
   UnlinkRule(o);
-  FreeOcc(o);
-  uint64_t w = books_[static_cast<size_t>(gen.rule)].scan_usage;
-  uint64_t c = digrams_[static_cast<size_t>(id)].count;
-  SetCount(id, c >= w ? c - w : 0);
-  --total_;
-}
-
-void GrammarDigramIndex::RemoveGenerator(const Digram& d, RuleNode gen) {
-  DigramId id = Find(d);
-  if (id == kNil) return;
-  OccId o = OccOf(gen);
-  if (o == kNil || occs_[static_cast<size_t>(o)].digram != id) return;
-  UnlinkDigram(o);
-  UnlinkRule(o);
-  FreeOcc(o);
-  uint64_t w = books_[static_cast<size_t>(gen.rule)].scan_usage;
-  uint64_t c = digrams_[static_cast<size_t>(id)].count;
-  SetCount(id, c >= w ? c - w : 0);
-  --total_;
+  table_.RemoveOcc(o, books_[static_cast<size_t>(gen.rule)].scan_usage);
 }
 
 void GrammarDigramIndex::ScanRule(const Grammar& g, LabelId rule,
                                   uint64_t usage) {
   RuleBook& book = BookFor(rule);
-  SLG_DCHECK(book.head == kNil);
+  SLG_DCHECK(book.head == kNilId);
   book.scan_usage = usage;
   const Tree& t = g.rhs(rule);
   t.VisitPreorder(t.root(), [&](NodeId n) {
@@ -275,16 +128,9 @@ void GrammarDigramIndex::ScanRule(const Grammar& g, LabelId rule,
 void GrammarDigramIndex::DropRule(LabelId rule) {
   if (static_cast<size_t>(rule) >= books_.size()) return;
   RuleBook& book = books_[static_cast<size_t>(rule)];
-  uint64_t w = book.scan_usage;
-  for (OccId o = book.head; o != kNil;) {
-    const Occ& occ = occs_[static_cast<size_t>(o)];
-    OccId next = occ.rnext;
-    UnlinkDigram(o);
-    book.node_occ[static_cast<size_t>(occ.node)] = kNil;
-    uint64_t c = digrams_[static_cast<size_t>(occ.digram)].count;
-    SetCount(occ.digram, c >= w ? c - w : 0);
-    FreeOcc(o);
-    --total_;
+  for (OccId o = book.head; o != kNilId;) {
+    OccId next = table_.occ(o).rnext;
+    table_.RemoveOcc(o, book.scan_usage);
     o = next;
   }
   book = RuleBook{};
@@ -293,95 +139,22 @@ void GrammarDigramIndex::DropRule(LabelId rule) {
 void GrammarDigramIndex::AdjustWeight(LabelId rule, uint64_t new_usage) {
   if (static_cast<size_t>(rule) >= books_.size()) return;
   RuleBook& book = books_[static_cast<size_t>(rule)];
-  uint64_t old_usage = book.scan_usage;
-  if (old_usage == new_usage) return;
-  for (OccId o = book.head; o != kNil;
-       o = occs_[static_cast<size_t>(o)].rnext) {
-    DigramId id = occs_[static_cast<size_t>(o)].digram;
-    uint64_t c = digrams_[static_cast<size_t>(id)].count;
-    c = c >= old_usage ? c - old_usage : 0;
-    SetCount(id, UsageSatAdd(c, new_usage));
+  if (book.scan_usage == new_usage) return;
+  for (OccId o = book.head; o != kNilId; o = table_.occ(o).rnext) {
+    table_.Reweight(table_.occ(o).digram, book.scan_usage, new_usage);
   }
   book.scan_usage = new_usage;
 }
 
 std::vector<RuleNode> GrammarDigramIndex::Take(const Digram& d) {
-  DigramId id = Find(d);
-  if (id == kNil) return {};
-  DigramInfo& info = digrams_[static_cast<size_t>(id)];
-  std::vector<RuleNode> out;
-  for (OccId o = info.occ_head; o != kNil;) {
-    const Occ& occ = occs_[static_cast<size_t>(o)];
-    OccId next = occ.dnext;
-    out.push_back(RuleNode{occ.rule, occ.node});
+  std::vector<RuleNode> out = table_.Take<RuleNode>(d, [&](OccId o) {
     UnlinkRule(o);
-    FreeOcc(o);
-    o = next;
-  }
-  info.occ_head = kNil;
-  SetCount(id, 0);
-  total_ -= static_cast<int64_t>(out.size());
+    return RuleNode{table_.occ(o).rule, table_.occ(o).node};
+  });
   std::sort(out.begin(), out.end(), [](const RuleNode& x, const RuleNode& y) {
     return x.rule != y.rule ? x.rule < y.rule : x.node < y.node;
   });
   return out;
-}
-
-uint64_t GrammarDigramIndex::WeightedCount(const Digram& d) const {
-  DigramId id = Find(d);
-  return id == kNil ? 0 : digrams_[static_cast<size_t>(id)].count;
-}
-
-std::optional<Digram> GrammarDigramIndex::MostFrequent(
-    const LabelTable& labels, const RepairOptions& options) {
-  (void)labels;  // ranks are cached at interning time
-  uint64_t floor =
-      options.min_count > 1 ? static_cast<uint64_t>(options.min_count) : 1;
-  auto eligible = [&](const DigramInfo& info) {
-    if (info.count < floor) return false;
-    if (info.rank > options.max_rank) return false;
-    // A digram whose weighted count c satisfies c <= rank(α) + 1
-    // yields a rule X with sav(X) <= 0 even in the best case, so
-    // pruning would remove it again: pure replace-then-prune churn.
-    if (options.require_positive_savings &&
-        info.count <= static_cast<uint64_t>(info.rank) + 1) {
-      return false;
-    }
-    return true;
-  };
-  // Overflow list first: every count there exceeds every bucketed one.
-  DigramId best = kNil;
-  for (DigramId id = overflow_head_; id != kNil;
-       id = digrams_[static_cast<size_t>(id)].bucket_next) {
-    const DigramInfo& info = digrams_[static_cast<size_t>(id)];
-    if (!eligible(info)) continue;
-    if (best == kNil) {
-      best = id;
-      continue;
-    }
-    const DigramInfo& b = digrams_[static_cast<size_t>(best)];
-    if (info.count > b.count ||
-        (info.count == b.count && DigramLess(info.key, b.key))) {
-      best = id;
-    }
-  }
-  if (best != kNil) return digrams_[static_cast<size_t>(best)].key;
-  while (max_count_ > 0 && buckets_[static_cast<size_t>(max_count_)] == kNil) {
-    --max_count_;
-  }
-  for (uint64_t c = max_count_; c >= floor && c > 0; --c) {
-    for (DigramId id = buckets_[static_cast<size_t>(c)]; id != kNil;
-         id = digrams_[static_cast<size_t>(id)].bucket_next) {
-      const DigramInfo& info = digrams_[static_cast<size_t>(id)];
-      if (!eligible(info)) continue;
-      if (best == kNil || DigramLess(info.key,
-                                     digrams_[static_cast<size_t>(best)].key)) {
-        best = id;
-      }
-    }
-    if (best != kNil) return digrams_[static_cast<size_t>(best)].key;
-  }
-  return std::nullopt;
 }
 
 }  // namespace slg

@@ -15,20 +15,11 @@
 //  * a terminal generator is stored only if its tree parent is not
 //    itself a stored generator of the same digram.
 //
-// Layout follows the bucketed Larsson-Moffat design of
-// src/repair/digram_index.* (see docs/PERF.md): digrams are interned
-// to dense ids once (a single open-addressing probe per operation —
-// the only hashing anywhere), occurrences live in a free-listed pool
-// of flat records threaded onto two intrusive doubly-linked lists
-// (per digram and per generating rule), and every rule keeps a dense
-// NodeId -> occurrence slot (a generator node stores at most one
-// occurrence). Add/Remove/Drop/Adjust are O(1) per occurrence with no
-// stale entries to compact. Counts are usage-weighted and saturate at
-// kUsageCap, so the frequency buckets are hybrid: counts up to
-// kBucketCap live in a dense bucket array (O(1) moves, MostFrequent
-// walks down from the tracked maximum), larger counts live on one
-// overflow list that MostFrequent scans first — exponential grammars
-// have few astronomically-weighted digrams, so the scan is short.
+// Interning, counts, frequency buckets and selection are the shared
+// DigramTable (src/repair/digram_table.h), with usage weights adding
+// through UsageSatAdd. What is the grammar's own: the per-rule
+// RuleBook, the two overlap checks of AddGenerator, and Take's
+// (rule, node) order.
 
 #ifndef SLG_CORE_RETRIEVE_OCCS_H_
 #define SLG_CORE_RETRIEVE_OCCS_H_
@@ -42,6 +33,7 @@
 #include "src/grammar/grammar.h"
 #include "src/grammar/usage.h"
 #include "src/repair/digram.h"
+#include "src/repair/digram_table.h"
 #include "src/repair/repair_options.h"
 
 namespace slg {
@@ -84,9 +76,6 @@ class GrammarDigramIndex {
   // equal-label overlap rules reject it.
   void AddGenerator(const Grammar& g, RuleNode gen, uint64_t usage);
 
-  // Removes the occurrence with this generator, if stored under d.
-  void RemoveGenerator(const Digram& d, RuleNode gen);
-
   // Removes whatever occurrence is stored at this generator node, if
   // any — the stored record knows its digram, so the caller does not
   // have to re-derive the (possibly already stale) key. This is the
@@ -104,79 +93,43 @@ class GrammarDigramIndex {
   // the lexicographically smallest eligible one — a pure function of
   // the current count table, which the mode-equivalence tests and
   // the lockstep test against the reference index rely on.
-  std::optional<Digram> MostFrequent(const LabelTable& labels,
-                                     const RepairOptions& options);
+  std::optional<Digram> MostFrequent(const RepairOptions& options) {
+    return table_.MostFrequent(options);
+  }
 
-  uint64_t WeightedCount(const Digram& d) const;
-  int64_t TotalOccurrences() const { return total_; }
+  uint64_t WeightedCount(const Digram& d) const { return table_.Count(d); }
+  int64_t TotalOccurrences() const { return table_.total(); }
 
  private:
-  using DigramId = int32_t;
-  using OccId = int32_t;
-  static constexpr int32_t kNil = -1;
-  // Weighted counts above this live on the overflow list instead of a
-  // dense bucket slot (usage weights saturate at 2^62).
-  static constexpr uint64_t kBucketCap = 4096;
-
-  struct DigramInfo {
-    Digram key;
-    int rank = 0;  // DigramRank, fixed at interning time
-    uint64_t count = 0;
-    OccId occ_head = kNil;
-    DigramId bucket_prev = kNil;
-    DigramId bucket_next = kNil;  // bucket or overflow list, by count
-  };
-
   struct Occ {
-    DigramId digram = kNil;
+    DigramId digram = kNilId;
     LabelId rule = kNoLabel;
     NodeId node = kNilNode;
-    OccId dprev = kNil, dnext = kNil;  // per-digram occurrence list
-    OccId rprev = kNil, rnext = kNil;  // per-rule occurrence list
+    OccId dprev = kNilId, dnext = kNilId;  // per-digram list (the table's)
+    OccId rprev = kNilId, rnext = kNilId;  // per-rule occurrence list
   };
 
   // Per-rule bookkeeping: scan-time usage (the removal weight), the
   // intrusive list of this rule's stored occurrences (drives DropRule
   // and AdjustWeight exactly — no stale entries), and the dense
   // NodeId -> OccId slot table (a generator stores at most one
-  // occurrence; drives Remove and the equal-label overlap checks).
+  // occurrence; drives RemoveGeneratorAt and the equal-label overlap
+  // checks).
   struct RuleBook {
     uint64_t scan_usage = 0;
-    OccId head = kNil;
+    OccId head = kNilId;
     std::vector<OccId> node_occ;
   };
 
-  DigramId Intern(const Digram& d, const LabelTable& labels);
-  DigramId Find(const Digram& d) const;  // kNil when never interned
-  void GrowSlots();
-
   RuleBook& BookFor(LabelId rule);
-  // The stored occurrence generated at rn, or kNil.
+  // The stored occurrence generated at rn, or kNilId.
   OccId OccOf(RuleNode rn) const;
-
-  void UnlinkDigram(OccId o);
   void UnlinkRule(OccId o);
-  void FreeOcc(OccId o);
-
-  // Moves digram `id` to the bucket (or overflow list) of its new
-  // weighted count (0 = none).
-  void SetCount(DigramId id, uint64_t count);
 
   void ScanRule(const Grammar& g, LabelId rule, uint64_t usage);
 
-  std::vector<DigramInfo> digrams_;
-  // Open-addressing intern table: slot holds DigramId + 1, 0 = empty.
-  std::vector<int32_t> slots_;
-  size_t slot_count_ = 0;  // interned digrams (load-factor bookkeeping)
-  std::vector<Occ> occs_;
-  std::vector<OccId> occ_free_;
+  DigramTable<Occ> table_;
   std::vector<RuleBook> books_;  // by LabelId of the generating rule
-  // buckets_[c] = head of the list of digrams with weighted count c
-  // (1 <= c <= kBucketCap); larger counts chain off overflow_head_.
-  std::vector<DigramId> buckets_;
-  DigramId overflow_head_ = kNil;
-  uint64_t max_count_ = 0;  // maximum bucketed (<= kBucketCap) count
-  int64_t total_ = 0;
 };
 
 }  // namespace slg

@@ -5,15 +5,8 @@
 namespace slg {
 
 void TreeDigramIndex::Build(const Tree& t) {
-  digrams_.clear();
-  slots_.clear();
-  slot_count_ = 0;
-  occs_.clear();
-  occ_free_.clear();
+  table_.Clear();
   node_head_.clear();
-  buckets_.clear();
-  max_count_ = 0;
-  total_ = 0;
   std::vector<NodeId> order = t.Preorder();
   // Reverse preorder visits children before parents; sibling order is
   // irrelevant for overlap (occurrences overlap only via parent-child
@@ -28,121 +21,33 @@ void TreeDigramIndex::Build(const Tree& t) {
   }
 }
 
-TreeDigramIndex::DigramId TreeDigramIndex::Find(const Digram& d) const {
-  if (slots_.empty()) return kNil;
-  size_t mask = slots_.size() - 1;
-  size_t pos = DigramHash()(d) & mask;
-  for (;;) {
-    int32_t s = slots_[pos];
-    if (s == 0) return kNil;
-    DigramId id = s - 1;
-    if (digrams_[static_cast<size_t>(id)].key == d) return id;
-    pos = (pos + 1) & mask;
+OccId TreeDigramIndex::OccOfNode(NodeId v, DigramId id) const {
+  if (static_cast<size_t>(v) >= node_head_.size()) return kNilId;
+  for (OccId o = node_head_[static_cast<size_t>(v)]; o != kNilId;
+       o = table_.occ(o).nnext) {
+    if (table_.occ(o).digram == id) return o;
   }
-}
-
-void TreeDigramIndex::GrowSlots() {
-  size_t cap = slots_.empty() ? 64 : slots_.size() * 2;
-  slots_.assign(cap, 0);
-  size_t mask = cap - 1;
-  for (size_t id = 0; id < digrams_.size(); ++id) {
-    size_t pos = DigramHash()(digrams_[id].key) & mask;
-    while (slots_[pos] != 0) pos = (pos + 1) & mask;
-    slots_[pos] = static_cast<int32_t>(id) + 1;
-  }
-}
-
-TreeDigramIndex::DigramId TreeDigramIndex::Intern(const Digram& d) {
-  if (slots_.empty() || slot_count_ * 10 >= slots_.size() * 7) GrowSlots();
-  size_t mask = slots_.size() - 1;
-  size_t pos = DigramHash()(d) & mask;
-  for (;;) {
-    int32_t s = slots_[pos];
-    if (s == 0) break;
-    DigramId id = s - 1;
-    if (digrams_[static_cast<size_t>(id)].key == d) return id;
-    pos = (pos + 1) & mask;
-  }
-  DigramId id = static_cast<DigramId>(digrams_.size());
-  DigramInfo info;
-  info.key = d;
-  info.rank = DigramRank(d, *labels_);
-  digrams_.push_back(info);
-  slots_[pos] = id + 1;
-  ++slot_count_;
-  return id;
-}
-
-TreeDigramIndex::OccId TreeDigramIndex::OccOfNode(NodeId v,
-                                                  DigramId id) const {
-  if (static_cast<size_t>(v) >= node_head_.size()) return kNil;
-  for (OccId o = node_head_[static_cast<size_t>(v)]; o != kNil;
-       o = occs_[static_cast<size_t>(o)].nnext) {
-    if (occs_[static_cast<size_t>(o)].digram == id) return o;
-  }
-  return kNil;
+  return kNilId;
 }
 
 void TreeDigramIndex::LinkNode(OccId o) {
-  NodeId v = occs_[static_cast<size_t>(o)].parent;
-  if (static_cast<size_t>(v) >= node_head_.size()) {
-    node_head_.resize(static_cast<size_t>(v) + 1, kNil);
-  }
-  OccId head = node_head_[static_cast<size_t>(v)];
-  occs_[static_cast<size_t>(o)].nprev = kNil;
-  occs_[static_cast<size_t>(o)].nnext = head;
-  if (head != kNil) occs_[static_cast<size_t>(head)].nprev = o;
-  node_head_[static_cast<size_t>(v)] = o;
+  Occ& occ = table_.occ(o);
+  size_t v = static_cast<size_t>(occ.parent);
+  if (v >= node_head_.size()) node_head_.resize(v + 1, kNilId);
+  occ.nprev = kNilId;
+  occ.nnext = node_head_[v];
+  if (occ.nnext != kNilId) table_.occ(occ.nnext).nprev = o;
+  node_head_[v] = o;
 }
 
 void TreeDigramIndex::UnlinkNode(OccId o) {
-  const Occ& occ = occs_[static_cast<size_t>(o)];
-  if (occ.nprev != kNil) {
-    occs_[static_cast<size_t>(occ.nprev)].nnext = occ.nnext;
+  const Occ& occ = table_.occ(o);
+  if (occ.nprev != kNilId) {
+    table_.occ(occ.nprev).nnext = occ.nnext;
   } else {
     node_head_[static_cast<size_t>(occ.parent)] = occ.nnext;
   }
-  if (occ.nnext != kNil) occs_[static_cast<size_t>(occ.nnext)].nprev = occ.nprev;
-}
-
-void TreeDigramIndex::UnlinkDigram(OccId o) {
-  const Occ& occ = occs_[static_cast<size_t>(o)];
-  if (occ.dprev != kNil) {
-    occs_[static_cast<size_t>(occ.dprev)].dnext = occ.dnext;
-  } else {
-    digrams_[static_cast<size_t>(occ.digram)].occ_head = occ.dnext;
-  }
-  if (occ.dnext != kNil) occs_[static_cast<size_t>(occ.dnext)].dprev = occ.dprev;
-}
-
-void TreeDigramIndex::SetCount(DigramId id, long long count) {
-  DigramInfo& info = digrams_[static_cast<size_t>(id)];
-  if (info.count > 0) {
-    // Unlink from the old bucket.
-    if (info.bucket_prev != kNil) {
-      digrams_[static_cast<size_t>(info.bucket_prev)].bucket_next =
-          info.bucket_next;
-    } else {
-      buckets_[static_cast<size_t>(info.count)] = info.bucket_next;
-    }
-    if (info.bucket_next != kNil) {
-      digrams_[static_cast<size_t>(info.bucket_next)].bucket_prev =
-          info.bucket_prev;
-    }
-    info.bucket_prev = info.bucket_next = kNil;
-  }
-  info.count = count;
-  if (count > 0) {
-    if (static_cast<size_t>(count) >= buckets_.size()) {
-      buckets_.resize(static_cast<size_t>(count) + 1, kNil);
-    }
-    DigramId head = buckets_[static_cast<size_t>(count)];
-    info.bucket_prev = kNil;
-    info.bucket_next = head;
-    if (head != kNil) digrams_[static_cast<size_t>(head)].bucket_prev = id;
-    buckets_[static_cast<size_t>(count)] = id;
-    if (count > max_count_) max_count_ = count;
-  }
+  if (occ.nnext != kNilId) table_.occ(occ.nnext).nprev = occ.nprev;
 }
 
 void TreeDigramIndex::Add(const Tree& t, NodeId v, int child_index) {
@@ -150,104 +55,44 @@ void TreeDigramIndex::Add(const Tree& t, NodeId v, int child_index) {
   LabelId a = t.label(v);
   LabelId b = t.label(w);
   if (labels_->IsParam(a) || labels_->IsParam(b)) return;
-  DigramId id = Intern(Digram{a, child_index, b});
+  DigramId id = table_.Intern(Digram{a, child_index, b}, *labels_);
   // A node parents at most one occurrence per digram (the child index
   // is part of the key); duplicates are silently ignored.
-  if (OccOfNode(v, id) != kNil) return;
+  if (OccOfNode(v, id) != kNilId) return;
   if (a == b) {
     // Greedy non-overlap: reject if w already parents a stored
     // occurrence, or if v is already the child of one (v's parent p
     // stored and v sits at the digram's child index under p).
-    if (OccOfNode(w, id) != kNil) return;
+    if (OccOfNode(w, id) != kNilId) return;
     NodeId p = t.parent(v);
     if (p != kNilNode && t.label(p) == a) {
       OccId po = OccOfNode(p, id);
-      if (po != kNil && occs_[static_cast<size_t>(po)].child == v) return;
+      if (po != kNilId && table_.occ(po).child == v) return;
     }
   }
-  OccId o;
-  if (!occ_free_.empty()) {
-    o = occ_free_.back();
-    occ_free_.pop_back();
-  } else {
-    o = static_cast<OccId>(occs_.size());
-    occs_.emplace_back();
-  }
-  Occ& occ = occs_[static_cast<size_t>(o)];
-  occ.digram = id;
-  occ.parent = v;
-  occ.child = w;
-  DigramInfo& info = digrams_[static_cast<size_t>(id)];
-  occ.dprev = kNil;
-  occ.dnext = info.occ_head;
-  if (info.occ_head != kNil) {
-    occs_[static_cast<size_t>(info.occ_head)].dprev = o;
-  }
-  info.occ_head = o;
+  OccId o = table_.AddOcc(id, 1);
+  table_.occ(o).parent = v;
+  table_.occ(o).child = w;
   LinkNode(o);
-  SetCount(id, info.count + 1);
-  ++total_;
 }
 
 void TreeDigramIndex::Remove(const Digram& d, NodeId v) {
-  DigramId id = Find(d);
-  if (id == kNil) return;
+  DigramId id = table_.Find(d);
+  if (id == kNilId) return;
   OccId o = OccOfNode(v, id);
-  if (o == kNil) return;
-  UnlinkDigram(o);
+  if (o == kNilId) return;
   UnlinkNode(o);
-  occs_[static_cast<size_t>(o)] = Occ{};
-  occ_free_.push_back(o);
-  SetCount(id, digrams_[static_cast<size_t>(id)].count - 1);
-  --total_;
+  table_.RemoveOcc(o, 1);
 }
 
 std::vector<NodeId> TreeDigramIndex::Take(const Digram& d) {
-  DigramId id = Find(d);
-  if (id == kNil || digrams_[static_cast<size_t>(id)].count == 0) return {};
-  std::vector<NodeId> out;
-  out.reserve(static_cast<size_t>(digrams_[static_cast<size_t>(id)].count));
-  for (OccId o = digrams_[static_cast<size_t>(id)].occ_head; o != kNil;) {
-    OccId next = occs_[static_cast<size_t>(o)].dnext;
-    out.push_back(occs_[static_cast<size_t>(o)].parent);
+  std::vector<NodeId> out = table_.Take<NodeId>(d, [&](OccId o) {
     UnlinkNode(o);
-    occs_[static_cast<size_t>(o)] = Occ{};
-    occ_free_.push_back(o);
-    o = next;
-  }
-  digrams_[static_cast<size_t>(id)].occ_head = kNil;
-  SetCount(id, 0);
-  total_ -= static_cast<long long>(out.size());
+    return table_.occ(o).parent;
+  });
   // Deterministic processing order regardless of insertion order.
   std::sort(out.begin(), out.end());
   return out;
-}
-
-long long TreeDigramIndex::Count(const Digram& d) const {
-  DigramId id = Find(d);
-  return id == kNil ? 0 : digrams_[static_cast<size_t>(id)].count;
-}
-
-std::optional<Digram> TreeDigramIndex::MostFrequent(
-    const RepairOptions& options) {
-  while (max_count_ > 0 &&
-         buckets_[static_cast<size_t>(max_count_)] == kNil) {
-    --max_count_;
-  }
-  long long floor = options.min_count > 1 ? options.min_count : 1;
-  for (long long c = max_count_; c >= floor; --c) {
-    DigramId best = kNil;
-    for (DigramId id = buckets_[static_cast<size_t>(c)]; id != kNil;
-         id = digrams_[static_cast<size_t>(id)].bucket_next) {
-      if (digrams_[static_cast<size_t>(id)].rank > options.max_rank) continue;
-      if (best == kNil || DigramLess(digrams_[static_cast<size_t>(id)].key,
-                                     digrams_[static_cast<size_t>(best)].key)) {
-        best = id;
-      }
-    }
-    if (best != kNil) return digrams_[static_cast<size_t>(best)].key;
-  }
-  return std::nullopt;
 }
 
 }  // namespace slg

@@ -2,20 +2,16 @@
 //
 // An occurrence of α = (a,i,b) is the pair (v, w) with w = v's i-th
 // child; since the parent is unique, occurrences are keyed by v. The
-// index maintains, per digram, the set of stored non-overlapping
+// index keeps, per digram, the set of stored non-overlapping
 // occurrences (greedy, children-before-parents as in TreeRePair [3])
 // and supports the incremental neighbourhood updates of §IV-C.
 //
-// Layout follows Larsson-Moffat: digrams are interned to dense ids
-// once (a single open-addressing probe per Add/Remove — the only
-// hashing anywhere), occurrences live in a free-listed pool of flat
-// records threaded onto two intrusive doubly-linked lists (per digram
-// and per parent node), and most-frequent selection uses an array of
-// frequency buckets holding doubly-linked lists of digram ids. Add,
-// Remove and the bucket moves they trigger are O(1); MostFrequent
-// scans one bucket (for the deterministic tie-break) plus the empty
-// buckets skipped since the previous maximum — amortized O(1) over a
-// repair run. No per-operation heap churn, no unordered_set nodes.
+// Interning, counts, frequency buckets and selection are the shared
+// DigramTable (src/repair/digram_table.h); every occurrence weighs 1.
+// What is the tree's own: a second intrusive list per parent node
+// (Remove and the overlap checks find a node's occurrences in
+// O(rank of its label)), the greedy equal-label rule, and Take's order
+// by parent.
 
 #ifndef SLG_REPAIR_DIGRAM_INDEX_H_
 #define SLG_REPAIR_DIGRAM_INDEX_H_
@@ -24,6 +20,7 @@
 #include <vector>
 
 #include "src/repair/digram.h"
+#include "src/repair/digram_table.h"
 #include "src/repair/repair_options.h"
 #include "src/tree/tree.h"
 
@@ -52,62 +49,42 @@ class TreeDigramIndex {
   // Most frequent appropriate digram: count >= options.min_count and
   // rank <= options.max_rank; ties broken by lexicographically
   // smallest digram. Returns nullopt when none remains.
-  std::optional<Digram> MostFrequent(const RepairOptions& options);
+  // options.require_positive_savings is not applied: TreeRePair's
+  // grammars stay byte-identical to the paper's pipeline, and whether
+  // ingest shards should skip low-savings digrams is a compression
+  // question of its own.
+  std::optional<Digram> MostFrequent(const RepairOptions& options) {
+    RepairOptions tree_options = options;
+    tree_options.require_positive_savings = false;
+    return table_.MostFrequent(tree_options);
+  }
 
-  long long Count(const Digram& d) const;
+  long long Count(const Digram& d) const {
+    return static_cast<long long>(table_.Count(d));
+  }
 
   // Total number of stored occurrences over all digrams (diagnostics).
-  long long TotalOccurrences() const { return total_; }
+  long long TotalOccurrences() const { return table_.total(); }
 
  private:
-  using DigramId = int32_t;
-  using OccId = int32_t;
-  static constexpr int32_t kNil = -1;
-
-  struct DigramInfo {
-    Digram key;
-    int rank = 0;  // DigramRank, fixed at interning time
-    long long count = 0;
-    OccId occ_head = kNil;
-    DigramId bucket_prev = kNil;
-    DigramId bucket_next = kNil;
-  };
-
   struct Occ {
-    DigramId digram = kNil;
+    DigramId digram = kNilId;
     NodeId parent = kNilNode;
     NodeId child = kNilNode;
-    OccId dprev = kNil, dnext = kNil;  // per-digram occurrence list
-    OccId nprev = kNil, nnext = kNil;  // per-parent-node occurrence list
+    OccId dprev = kNilId, dnext = kNilId;  // per-digram list (the table's)
+    OccId nprev = kNilId, nnext = kNilId;  // per-parent-node list
   };
 
-  DigramId Intern(const Digram& d);      // insert-or-find
-  DigramId Find(const Digram& d) const;  // kNil when never interned
-  void GrowSlots();
-
-  // The occurrence of digram `id` parented at v, or kNil. O(#digrams
+  // The occurrence of digram `id` parented at v, or kNilId. O(#digrams
   // parented at v) = O(rank of v's label): effectively constant.
   OccId OccOfNode(NodeId v, DigramId id) const;
 
   void LinkNode(OccId o);
   void UnlinkNode(OccId o);
-  void UnlinkDigram(OccId o);
-
-  // Moves digram `id` to the bucket of its new count (0 = none).
-  void SetCount(DigramId id, long long count);
 
   const LabelTable* labels_;
-  std::vector<DigramInfo> digrams_;
-  // Open-addressing intern table: slot holds DigramId + 1, 0 = empty.
-  std::vector<int32_t> slots_;
-  size_t slot_count_ = 0;  // interned digrams (load-factor bookkeeping)
-  std::vector<Occ> occs_;
-  std::vector<OccId> occ_free_;
-  std::vector<OccId> node_head_;  // by NodeId; kNil when none
-  // buckets_[c] = head of the list of digrams with count c (c >= 1).
-  std::vector<DigramId> buckets_;
-  long long max_count_ = 0;
-  long long total_ = 0;
+  DigramTable<Occ> table_;
+  std::vector<OccId> node_head_;  // by NodeId; kNilId when none
 };
 
 }  // namespace slg

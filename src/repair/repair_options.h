@@ -1,4 +1,6 @@
-// Options shared by TreeRePair and GrammarRePair.
+// Options of TreeRePair and GrammarRePair. Both apply max_rank,
+// min_count and prune; only GrammarRePair applies
+// require_positive_savings.
 
 #ifndef SLG_REPAIR_REPAIR_OPTIONS_H_
 #define SLG_REPAIR_REPAIR_OPTIONS_H_
@@ -24,7 +26,9 @@ struct RepairOptions {
   // final size but makes repeated recompression re-do the same
   // replace/prune churn every time. Recompression-heavy users (the
   // dynamic benches, CompressedXmlTree) turn this on; the default
-  // keeps the paper's exact pipeline.
+  // keeps the paper's exact pipeline. GrammarRePair only: TreeRePair
+  // selects without this filter (TreeDigramIndex::MostFrequent), so a
+  // TreeRePair grammar does not depend on it.
   bool require_positive_savings = false;
 };
 

@@ -2,8 +2,8 @@
 // neighborhood Add/Remove invariants, the equal-label overlap rule,
 // MostFrequent tie/threshold/rank behavior, and a seeded lockstep run
 // that drives the bucket index and the original hash-set + lazy-heap
-// index through the same calls on corpus trees and compares every
-// answer.
+// index through the same calls on corpus trees, and on a spine whose
+// counts cross kDigramBucketCap, and compares every answer.
 
 #include "src/repair/digram_index.h"
 
@@ -346,6 +346,8 @@ class TreeLockstep {
     return bucket_.MostFrequent(options_[0]);
   }
 
+  long long Count(const Digram& d) const { return bucket_.Count(d); }
+
   // One TreeRePair round of `d`, as the driver runs it.
   void Replace(const Digram& d, LabelId x) {
     for (NodeId v : Take(d)) {
@@ -401,14 +403,59 @@ class TreeLockstep {
   std::vector<LegacyTreeDigramIndex> refs_;
 };
 
-class TreeIndexLockstepTest : public ::testing::TestWithParam<Corpus> {};
+// c(f(a),c(f(a),...c(f(a),e))) with kSpine c nodes, so (c,1,f) and
+// (f,1,a) start on the overflow list (count above kDigramBucketCap).
+// The first TreeRePair round takes (c,1,f) off it, walks (f,1,a) down
+// across the cap by Remove, and lifts the fresh X digrams above it
+// again by Add; the next round takes one of those.
+constexpr int kSpine = 4200;
+static_assert(kSpine > static_cast<int>(kDigramBucketCap));
+
+Tree OverflowSpine(LabelTable* labels) {
+  LabelId c = labels->Intern("c", 2);
+  LabelId f = labels->Intern("f", 1);
+  LabelId a = labels->Intern("a", 0);
+  Tree t;
+  NodeId up = kNilNode;
+  for (int i = 0; i < kSpine; ++i) {
+    NodeId v = t.NewNode(c);
+    NodeId fv = t.NewNode(f);
+    t.AppendChild(fv, t.NewNode(a));
+    t.AppendChild(v, fv);
+    if (up == kNilNode) {
+      t.SetRoot(v);
+    } else {
+      t.AppendChild(up, v);
+    }
+    up = v;
+  }
+  t.AppendChild(up, t.NewNode(labels->Intern("e", 0)));
+  return t;
+}
+
+// A corpus tree, or (nullopt) the overflow spine above.
+class TreeIndexLockstepTest
+    : public ::testing::TestWithParam<std::optional<Corpus>> {};
 
 TEST_P(TreeIndexLockstepTest, EveryAnswerMatchesTheReference) {
   LabelTable labels;
-  Tree t = EncodeBinary(GenerateCorpus(GetParam(), 0.01), &labels);
-  Rng rng(0x5eed0000u + static_cast<uint64_t>(GetParam()));
+  const std::optional<Corpus> corpus = GetParam();
+  Tree t = corpus ? EncodeBinary(GenerateCorpus(*corpus, 0.01), &labels)
+                  : OverflowSpine(&labels);
+  Rng rng(0x5eed0000u + (corpus ? static_cast<uint64_t>(*corpus) : 0x100));
   TreeLockstep lock(&t, &labels);
   lock.Build();
+  if (!corpus) {
+    // Two rounds up front, so every crossing of the cap happens
+    // whatever the seeded steps draw.
+    EXPECT_EQ(lock.Count(lock.EdgeDigram(t.root(), 1)), kSpine);
+    for (int round = 0; round < 2; ++round) {
+      std::optional<Digram> d = lock.MostFrequent();
+      ASSERT_TRUE(d.has_value());
+      lock.Replace(*d, labels.Fresh("X", DigramRank(*d, labels)));
+    }
+    lock.CheckAllCounts();
+  }
   std::vector<NodeId> inner;  // nodes with children, refreshed on edits
   auto refresh = [&] {
     inner.clear();
@@ -459,7 +506,8 @@ TEST_P(TreeIndexLockstepTest, EveryAnswerMatchesTheReference) {
 INSTANTIATE_TEST_SUITE_P(
     Corpora, TreeIndexLockstepTest,
     ::testing::Values(Corpus::kExiWeblog, Corpus::kXMark, Corpus::kMedline,
-                      Corpus::kNcbi, Corpus::kTreebank, Corpus::kExiTelecomp));
+                      Corpus::kNcbi, Corpus::kTreebank, Corpus::kExiTelecomp,
+                      std::nullopt));
 
 }  // namespace
 }  // namespace slg

@@ -97,7 +97,7 @@ TEST(GrammarDigramIndexTest, AddRemoveGeneratorRoundTrip) {
     if (gen == kNilNode && t.label(v) == b) gen = v;
   });
   ASSERT_NE(gen, kNilNode);
-  index.RemoveGenerator(d, RuleNode{s, gen});
+  index.RemoveGeneratorAt(RuleNode{s, gen});
   EXPECT_EQ(index.WeightedCount(d), 2u);
   index.AddGenerator(g, RuleNode{s, gen}, 1);
   EXPECT_EQ(index.WeightedCount(d), 3u);
@@ -123,12 +123,12 @@ TEST(GrammarDigramIndexTest, PositiveSavingsFilter) {
   index.Build(g, usage);
   RepairOptions plain;
   // Without the filter some digram is offered.
-  EXPECT_TRUE(index.MostFrequent(g.labels(), plain).has_value());
+  EXPECT_TRUE(index.MostFrequent(plain).has_value());
   // With it, rank-1 digrams need weighted count >= 3; (a,1,b) with
   // count 3 still qualifies, count-2 digrams do not.
   RepairOptions strict;
   strict.require_positive_savings = true;
-  auto d = index.MostFrequent(g.labels(), strict);
+  auto d = index.MostFrequent(strict);
   ASSERT_TRUE(d.has_value());
   EXPECT_GE(index.WeightedCount(*d),
             static_cast<uint64_t>(DigramRank(*d, g.labels())) + 2);
@@ -154,11 +154,11 @@ TEST(GrammarDigramIndexTest, TakeClearsAndSorts) {
 // Lockstep: GrammarDigramIndex against the reference index
 // (tests/legacy_grammar_index.h) through the index API alone. Both see
 // the same seeded sequence of Build, DropRule + RescanRules,
-// AdjustWeight, AddGenerator, RemoveGenerator, RemoveGeneratorAt and
-// Take calls on an updated corpus grammar, including pure-local
-// replacement rounds in the start rule (Take, then ReplaceDigramNodes
-// between the neighbourhood removals and additions, as the repair
-// drivers run them). After every call, MostFrequent under each option
+// AdjustWeight, AddGenerator, RemoveGeneratorAt and Take calls on an
+// updated corpus grammar, including pure-local replacement rounds in
+// the start rule (Take, then ReplaceDigramNodes between the
+// neighbourhood removals and additions, as the repair drivers run
+// them). After every call, MostFrequent under each option
 // set, the weighted counts of the digrams the call touched and
 // TotalOccurrences must agree, and so must every Take.
 
@@ -231,12 +231,6 @@ class GrammarLockstep {
     CheckAt(gen);
   }
 
-  void RemoveGenerator(const Digram& d, RuleNode gen) {
-    bucket_.RemoveGenerator(d, gen);
-    for (LegacyGrammarDigramIndex& r : refs_) r.RemoveGenerator(d, gen);
-    Check({d});
-  }
-
   void RemoveGeneratorAt(RuleNode gen) {
     bucket_.RemoveGeneratorAt(gen);
     for (LegacyGrammarDigramIndex& r : refs_) r.RemoveGeneratorAt(gen);
@@ -255,7 +249,7 @@ class GrammarLockstep {
   }
 
   std::optional<Digram> MostFrequent() {
-    return bucket_.MostFrequent(g_->labels(), options_[0]);
+    return bucket_.MostFrequent(options_[0]);
   }
 
   // The weighted count of every generator's digram.
@@ -281,7 +275,7 @@ class GrammarLockstep {
   void Check(const std::vector<Digram>& touched) {
     for (size_t k = 0; k < refs_.size(); ++k) {
       LegacyGrammarDigramIndex& r = refs_[k];
-      EXPECT_EQ(bucket_.MostFrequent(g_->labels(), options_[k]),
+      EXPECT_EQ(bucket_.MostFrequent(options_[k]),
                 r.MostFrequent(g_->labels(), options_[k]))
           << "MostFrequent diverges under option set " << k;
       EXPECT_EQ(bucket_.TotalOccurrences(), r.TotalOccurrences());
@@ -340,7 +334,7 @@ TEST_P(GrammarIndexLockstepTest, EveryAnswerMatchesTheReference) {
 
   for (int step = 0; step < 400 && !HasFailure(); ++step) {
     RuleNode gen = random_gen();
-    switch (rng.Below(10)) {
+    switch (rng.Below(9)) {
       case 0:
       case 1: {  // a pure-local replacement round in the start rule
         for (const RuleNode& o : out) {
@@ -387,10 +381,7 @@ TEST_P(GrammarIndexLockstepTest, EveryAnswerMatchesTheReference) {
                n = t.next_sibling(n)) {
             around.push_back(n);
           }
-          for (NodeId n : around) {
-            RuleNode rn{start, n};
-            lock.RemoveGenerator(*GeneratorDigram(g, rn), rn);
-          }
+          for (NodeId n : around) lock.RemoveGeneratorAt(RuleNode{start, n});
           NodeId x_node = ReplaceDigramNodes(&t, v, d->child_index, x);
           if (t.parent(x_node) != kNilNode) {
             lock.AddGenerator(RuleNode{start, x_node}, w);
@@ -427,13 +418,6 @@ TEST_P(GrammarIndexLockstepTest, EveryAnswerMatchesTheReference) {
         out.push_back(gen);
         break;
       case 5:
-        if (std::optional<Digram> d = GeneratorDigram(g, gen)) {
-          if (rng.Chance(0.25)) ++d->child_index;  // not stored: a no-op
-          lock.RemoveGenerator(*d, gen);
-          out.push_back(gen);
-        }
-        break;
-      case 6:
         // Out-of-order re-adds exercise both equal-label overlap checks.
         if (!out.empty() && rng.Chance(0.7)) {
           size_t i = rng.Below(out.size());
@@ -443,12 +427,12 @@ TEST_P(GrammarIndexLockstepTest, EveryAnswerMatchesTheReference) {
         }
         lock.AddGenerator(gen, usage[static_cast<size_t>(gen.rule)]);
         break;
-      case 7:
+      case 6:
         if (std::optional<Digram> d = GeneratorDigram(g, gen)) {
           for (const RuleNode& t : lock.Take(*d)) out.push_back(t);
         }
         break;
-      case 8:
+      case 7:
         if (std::optional<Digram> d = lock.MostFrequent()) {
           for (const RuleNode& t : lock.Take(*d)) out.push_back(t);
         }
